@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import gcd, prod
 
+from .errors import ConsistencyError
 from .numtheory import (
     crt_pair,
     divisors,
@@ -88,6 +89,12 @@ def _resolve_generator(q: int, generator: int | None) -> int:
     return generator
 
 
+def _checked_count(N: int, out: list[BasisElement], expected: int) -> list[BasisElement]:
+    if len(out) != expected:
+        raise ConsistencyError(f"N={N}: {len(out)} basis elements, expected {expected}")
+    return out
+
+
 def basis_prime(p: int, generator: int | None = None) -> list[BasisElement]:
     """Generators at an odd prime level p >= 5: (p-1)/2 - 1 elements."""
     if not is_prime(p) or p < 5:
@@ -155,8 +162,7 @@ def basis_odd_prime_power(p: int, k: int, generator: int | None = None) -> list[
                 [(pow(a, i - 1, M), 1), (pow(a, i + shift - 1, M), -1)],
             )
             out.append(_element(N, M, sub, "odd-prime-power", i=i))
-    assert len(out) == phi[k] - 1
-    return out
+    return _checked_count(N, out, phi[k] - 1)
 
 
 def basis_two_power(k: int, generator: int | None = None) -> list[BasisElement]:
@@ -194,8 +200,7 @@ def basis_two_power(k: int, generator: int | None = None) -> list[BasisElement]:
                 [(pow(a, i - 1, M), 1), (pow(a, i + shift - 1, M), -1)],
             )
             out.append(_element(N, M, sub, "two-power", i=i))
-    assert len(out) == phi[k] - 1
-    return out
+    return _checked_count(N, out, phi[k] - 1)
 
 
 def _index_at(M: int, g: int, k: int) -> int:
@@ -240,8 +245,7 @@ def basis_squarefree(N: int, generator: int | None = None) -> list[BasisElement]
             exps[h] = exps.get(h, 0) - e
         exps = {h: e for h, e in exps.items() if e}
         out.append(_element(N, N, exps, "squarefree", g=g1))
-    assert len(out) == euler_phi(N) // 2 - 1
-    return out
+    return _checked_count(N, out, euler_phi(N) // 2 - 1)
 
 
 def orbit_alternating_product(M: int, g: int, shifts: tuple[int, ...]) -> dict[int, int]:
@@ -301,8 +305,7 @@ def basis_general(N: int, generator: int | None = None) -> list[BasisElement]:
             continue
         for exps, params in _general_subbasis(M):
             out.append(_element(N, M, exps, "general", **dict(params)))
-    assert len(out) == euler_phi(N) // 2 - 1, (N, len(out))
-    return out
+    return _checked_count(N, out, euler_phi(N) // 2 - 1)
 
 
 def basis(N: int, generator: int | None = None) -> list[BasisElement]:

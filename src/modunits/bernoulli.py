@@ -14,6 +14,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd
 
+from .errors import ConsistencyError
 from .numtheory import (
     b2,
     crt_pair,
@@ -226,7 +227,8 @@ def enumerate_even_characters(N: int) -> list[DirichletCharacter]:
         if chi.is_even:
             out.append(chi)
     out.sort(key=lambda c: not c.is_principal)
-    assert len(out) == euler_phi(N) // 2
+    if len(out) != euler_phi(N) // 2:
+        raise ConsistencyError(f"N={N}: {len(out)} even characters, expected {euler_phi(N) // 2}")
     return out
 
 

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 from .basis import BasisElement, basis
 from .bernoulli import nonprincipal_quarter_product, yu_prefactor
+from .errors import ConsistencyError
 from .numtheory import factorize, is_prime
 from .siegel import LevelContext, divisor, is_gamma1_modular, orbit_condition_holds
 from .zlinalg import (
@@ -42,10 +43,6 @@ __all__ = [
     "ConjectureReport",
     "IRREGULAR_PRIMES",
 ]
-
-
-class ConsistencyError(RuntimeError):
-    """The two class-number routes (or the group order) disagree."""
 
 
 class DegenerateRankError(RuntimeError):
@@ -146,9 +143,17 @@ def _class_number_yu(N: int) -> int:
     return int(h)
 
 
-@lru_cache(maxsize=None)
 def analyze(N: int, generator: int | None = None) -> ClassGroupReport:
-    """Full pipeline for one level, cross-checking every route."""
+    """Full pipeline for one level, cross-checking every route.
+
+    Cached per (N, generator) however the generator is passed, so
+    `analyze(N)` and `analyze(N, None)` share one entry.
+    """
+    return _analyze(N, generator)
+
+
+@lru_cache(maxsize=None)
+def _analyze(N: int, generator: int | None) -> ClassGroupReport:
     if N < 5:
         raise ValueError(f"analyze requires N >= 5, got {N}")
     timings = []
@@ -247,7 +252,8 @@ def _quotient_data(N: int, generator: int | None = None):
     if any(d == 0 for d in diag):
         raise DegenerateRankError(f"coordinate matrix at N={N} is rank-deficient")
     H, U = hnf(V)
-    assert all(H[i][j] == (1 if i == j else 0) for i in range(len(H)) for j in range(len(H)))
+    if any(H[i][j] != (i == j) for i in range(len(H)) for j in range(len(H))):
+        raise ConsistencyError(f"N={N}: the Smith column transform is not unimodular")
     return diag, tuple(tuple(r) for r in V), tuple(tuple(r) for r in U)
 
 

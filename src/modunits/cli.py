@@ -3,8 +3,9 @@
 Commands: classnum, structure, basis, primary, conjecture, table,
 primary-table, verify, qcheck.  Every command takes --json for structured
 output and --generator to override the canonical generator at prime-power
-levels.  Results can be cached as JSON files keyed by (N, tool version,
-generator); the default cache directory comes from MODUNITS_CACHE_DIR.
+levels; table refuses --generator with exit code 2.  Results can be cached
+as JSON files keyed by (N, tool version, generator); the default cache
+directory comes from MODUNITS_CACHE_DIR.
 
 Exit codes: 0 success, 2 invalid arguments, 3 internal consistency failure
 or reference-table mismatch.
@@ -14,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 
@@ -22,13 +22,12 @@ from . import __version__
 from .classgroup import (
     ConsistencyError,
     analyze,
-    class_number_yu,
     conjecture_report,
     p_primary,
     primary_notation,
 )
-from .corpus import primary_rows, structures, worked_examples
-from .numtheory import factorize, is_prime
+from .corpus import primary_rows, structures
+from .numtheory import is_prime
 from .qexpansion import expand_product, unit_lead_key
 from .siegel import genus_x1
 
@@ -194,11 +193,9 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _table_row(N: int) -> dict:
-    return build_record(N)
-
-
 def cmd_table(args, cache: Cache) -> int:
+    if args.generator is not None:
+        raise ValueError("table does not take --generator; it always uses the canonical generator")
     lo, hi = _parse_range(args.range)
     if lo < 5:
         raise ValueError(f"levels start at 5, got {lo}")
@@ -211,7 +208,7 @@ def cmd_table(args, cache: Cache) -> int:
     missing = [N for N in levels if N not in records]
     if args.jobs > 1 and len(missing) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for N, rec in zip(missing, pool.map(_table_row, missing)):
+            for N, rec in zip(missing, pool.map(build_record, missing)):
                 records[N] = rec
     else:
         for N in missing:

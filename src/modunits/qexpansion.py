@@ -6,12 +6,25 @@ single unit times 12N is 6g^2 - 6gN + N^2, always an integer, so the grid
 is exact and no floating point appears anywhere.  Each series carries a
 validity bound `trunc_key`: coefficients are exact (and stored) only for
 keys strictly below it.
+
+A unit product u = prod_h g_h^(e_h) is q^lead * prod_{m>=1} (1 - q^m)^(c_m)
+with periodic exponents c_m = sum_h e_h ([m = h] + [m = -h] mod N); at
+h = N/2 both terms count.  Its coefficients come from one integer
+recurrence, the logarithmic derivative (Euler transform) of the product:
+
+    b_k = sum_{d | k} d c_d,        n a_n = -sum_{k=1..n} b_k a_{n-k},
+
+where every division is exact (Apostol, Intro. to Analytic Number Theory
+section 14).  Integer powers of a series, negative ones included, come from
+J.C.P. Miller's power recurrence over the rationals.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
+from .errors import ConsistencyError
 from .siegel import UnitProduct
 
 __all__ = [
@@ -68,77 +81,12 @@ class QSeries:
         return " + ".join(parts)
 
 
-def _poly_mul(a: dict, b: dict, depth: int) -> dict:
-    """Truncated product of integer-offset polynomials (int or Fraction
-    coefficients; ints stay ints)."""
-    out: dict = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            k = i + j
-            if k < depth:
-                v = out.get(k)
-                out[k] = x * y if v is None else v + x * y
-    return {k: v for k, v in out.items() if v}
-
-
-def _poly_pow(a: dict, e: int, depth: int) -> dict:
-    result = {0: 1}
-    base = dict(a)
-    while e:
-        if e & 1:
-            result = _poly_mul(result, base, depth)
-        e >>= 1
-        if e:
-            base = _poly_mul(base, base, depth)
-    return result
-
-
-def _poly_inv(a: dict, depth: int) -> dict:
-    c0 = a.get(0)
-    if not c0:
-        raise ZeroDivisionError("cannot invert a series with zero constant term")
-    if c0 == 1:
-        inv0 = 1
-    elif c0 == -1:
-        inv0 = -1
-    else:
-        inv0 = Fraction(1, c0) if isinstance(c0, int) else 1 / c0
-    out = {0: inv0}
-    tail = sorted((k, v) for k, v in a.items() if k > 0)
-    for d in range(1, depth):
-        acc = 0
-        for k, v in tail:
-            if k > d:
-                break
-            coeff = out.get(d - k)
-            if coeff:
-                acc += v * coeff
-        if acc:
-            out[d] = -acc * inv0
-    return out
-
-
 def unit_lead_key(N: int, g: int) -> int:
     """12N times the leading exponent N*B2(g/N)/2, for 1 <= g <= N-1."""
     g %= N
     if g == 0:
         raise ValueError(f"index 0 is not a valid Siegel-unit index mod {N}")
     return 6 * g * g - 6 * g * N + N * N
-
-
-def _unit_poly(N: int, g: int, depth: int) -> dict[int, int]:
-    """Product part of the unit expansion, exact for integer exponents < depth."""
-    poly = {0: 1}
-    n = 1
-    while True:
-        lo, hi = (n - 1) * N + g, n * N - g
-        if lo >= depth and hi >= depth:
-            break
-        for m in (lo, hi):
-            if m < depth:
-                poly = _poly_mul(poly, {0: 1, m: -1}, depth)
-        n += 1
-    return poly
 
 
 def expand_unit(N: int, g: int, T: int = 8) -> QSeries:
@@ -148,15 +96,7 @@ def expand_unit(N: int, g: int, T: int = 8) -> QSeries:
     """
     if T < 1:
         raise ValueError(f"truncation must be >= 1, got {T}")
-    g %= N
-    if g == 0:
-        raise ValueError(f"index 0 is not a valid Siegel-unit index mod {N}")
-    grid = 12 * N
-    lead = unit_lead_key(N, g)
-    trunc = T * grid
-    depth = max(0, -((lead - trunc) // grid))  # ceil((trunc - lead) / grid)
-    poly = _unit_poly(N, g, depth)
-    return QSeries.make(N, {lead + grid * j: c for j, c in poly.items()}, trunc)
+    return expand_product(UnitProduct(N, {g: 1}), T)
 
 
 def series_mul(a: QSeries, b: QSeries) -> QSeries:
@@ -173,26 +113,28 @@ def series_mul(a: QSeries, b: QSeries) -> QSeries:
     return QSeries.make(a.level, out, trunc)
 
 
-def _series_inv(a: QSeries) -> QSeries:
-    lead = a.lead_key
-    step_keys = [k - lead for k, _ in a.coeffs if k != lead]
-    step = gcd(*step_keys) if step_keys else a.grid
-    offs = {(k - lead) // step: c for k, c in a.coeffs}
-    depth = max(1, -((lead - a.trunc_key) // step))
-    inv_offs = _poly_inv(offs, depth)
-    trunc = a.trunc_key - 2 * lead
-    return QSeries.make(a.level, {-lead + step * j: c for j, c in inv_offs.items()}, trunc)
-
-
 def series_pow(a: QSeries, e: int) -> QSeries:
-    """Integer power; negative exponents invert at the leading term."""
-    if e == 0:
-        return QSeries.make(a.level, {0: 1}, a.trunc_key - a.lead_key)
-    base = a if e > 0 else _series_inv(a)
-    result = base
-    for _ in range(abs(e) - 1):
-        result = series_mul(result, base)
-    return result
+    """Integer power by Miller's recurrence, negative exponents included.
+
+    Writing a = q^lead * sum_j c_j x^j, where x = q^step and step is the
+    gcd of the key offsets, the power is q^(e*lead) * sum_n p_n x^n with
+    p_0 = c_0^e and n c_0 p_n = sum_{k=1..n} ((e+1)k - n) c_k p_{n-k}.
+    """
+    lead = a.lead_key
+    step = gcd(*(k - lead for k, _ in a.coeffs)) or a.grid
+    c0 = a.coeffs[0][1]
+    tail = [((k - lead) // step, c) for k, c in a.coeffs[1:]]
+    depth = -((lead - a.trunc_key) // step)  # ceil((trunc_key - lead) / step)
+    out = [c0**e]
+    for n in range(1, depth):
+        acc = 0
+        for k, c in tail:
+            if k > n:
+                break
+            acc += ((e + 1) * k - n) * c * out[n - k]
+        out.append(acc / (n * c0))
+    trunc = a.trunc_key + (e - 1) * lead
+    return QSeries.make(a.level, {e * lead + step * j: c for j, c in enumerate(out)}, trunc)
 
 
 def rescale(a: QSeries, d: int) -> QSeries:
@@ -229,25 +171,28 @@ def series_equal(a: QSeries, b: QSeries) -> bool:
 def expand_product(u: UnitProduct, T: int = 8) -> QSeries:
     """Expansion of a unit product, exact below exponent T.
 
-    Numerator and denominator polynomials are expanded to the depth implied
-    by the total leading exponent, so cancellation never costs precision.
+    The depth in integral q-powers follows from the total leading exponent,
+    so cancellation never costs precision.
     """
     N = u.level
     grid = 12 * N
     trunc = T * grid
-    if not u:
-        return QSeries.make(N, {0: 1}, trunc)
     lead = sum(e * unit_lead_key(N, h) for h, e in u.items())
     depth = max(0, -((lead - trunc) // grid))  # integral q-powers needed
-    if depth == 0:
-        return QSeries.make(N, {}, trunc)  # everything beyond the truncation
-    num = {0: 1}
-    den = {0: 1}
+    c = [0] * N  # c[m % N] is the exponent of (1 - q^m)
     for h, e in u.items():
-        poly = _unit_poly(N, h, depth)
-        if e > 0:
-            num = _poly_mul(num, _poly_pow(poly, e, depth), depth)
-        else:
-            den = _poly_mul(den, _poly_pow(poly, -e, depth), depth)
-    full = _poly_mul(num, _poly_inv(den, depth), depth)
-    return QSeries.make(N, {lead + grid * j: c for j, c in full.items()}, trunc)
+        c[h % N] += e
+        c[-h % N] += e
+    b = [0] * depth
+    for d in range(1, depth):
+        dc = d * c[d % N]
+        if dc:
+            for k in range(d, depth, d):
+                b[k] += dc
+    a = [1] if depth else []
+    for n in range(1, depth):
+        an, r = divmod(-sum(map(mul, b[1 : n + 1], reversed(a))), n)
+        if r:
+            raise ConsistencyError(f"inexact division by {n} expanding {u!r}")
+        a.append(an)
+    return QSeries.make(N, {lead + grid * j: x for j, x in enumerate(a)}, trunc)

@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .errors import ConsistencyError
 from .numtheory import b2, euler_phi, factorize, is_prime
 
 __all__ = [
@@ -70,7 +71,8 @@ def genus_x1(N: int) -> int:
         index2 = index2 // (p * p) * (p * p - 1)
     cusps = sum(euler_phi(d) * euler_phi(N // d) for d in divisors(N)) // 2
     g = Fraction(index2, 24) - Fraction(cusps, 2) + 1
-    assert g.denominator == 1
+    if g.denominator != 1:
+        raise ConsistencyError(f"genus of X_1({N}) is not an integer: {g}")
     return int(g)
 
 
@@ -107,8 +109,8 @@ def _level_context(N: int) -> LevelContext:
         cusps=tuple(cusp_list(N)),
         indices=tuple(unit_indices(N)),
     )
-    assert len(ctx.cusps) == euler_phi(N) // 2
-    assert len(ctx.indices) == (N - 1 + 1) // 2
+    if len(ctx.cusps) != euler_phi(N) // 2 or len(ctx.indices) != N // 2:
+        raise ConsistencyError(f"N={N}: {len(ctx.cusps)} cusps and {len(ctx.indices)} indices")
     return ctx
 
 

@@ -46,6 +46,13 @@ def test_analyze_rejects_small_level():
         analyze(4)
 
 
+def test_analyze_one_cache_entry_per_level():
+    report = analyze(13)
+    assert analyze(13, None) is report
+    assert analyze(13, generator=None) is report
+    assert analyze(13, 7) is not report
+
+
 def test_divisor_matrix_36_verbatim():
     assert divisor_matrix(36) == [
         [3, -3, -3, 3, 3, -3],

@@ -102,6 +102,13 @@ def test_table_rejects_bad_range(capsys):
     assert code == 2
 
 
+def test_table_rejects_generator(capsys):
+    code, out, err = run_cli(capsys, "table", "11..12", "--generator", "2")
+    assert code == 2
+    assert out == ""
+    assert "--generator" in err
+
+
 def test_primary_table_check(capsys):
     code, out, _ = run_cli(capsys, "primary-table", "--max", "81", "--check")
     assert code == 0

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modunits.basis import basis
 from modunits.qexpansion import (
@@ -104,3 +107,68 @@ def test_basis_expansions_integral_sample():
 def test_make_drops_beyond_truncation():
     s = QSeries.make(5, {0: 1, 500: 7}, 480)
     assert s.as_dict() == {0: Fraction(1)}
+
+
+def _naive_product(u, depth):
+    """First `depth` integral q-power coefficients of prod_h g_h^e_h / q^lead,
+    multiplying in the factors (1 - q^m)^e of each unit one at a time."""
+    N = u.level
+    poly = [int(j == 0) for j in range(depth)]
+    for h, e in u.items():
+        # (1 - x)^e = sum_j t_j x^j, also for negative e
+        t = [(-1) ** j * comb(e, j) if e >= 0 else comb(j - e - 1, j) for j in range(depth)]
+        for n in range(1, depth // N + 2):
+            for m in ((n - 1) * N + h, n * N - h):  # the same m twice when h = N/2
+                for k in range(depth - 1, m - 1, -1):  # descending: in place
+                    poly[k] += sum(t[j] * poly[k - m * j] for j in range(1, k // m + 1))
+    return poly
+
+
+@st.composite
+def unit_products(draw):
+    N = draw(st.integers(2, 14))
+    indices = st.integers(1, N // 2)
+    exps = draw(st.dictionaries(indices, st.integers(-600, 600), max_size=3))
+    return UnitProduct(N, exps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_products(), st.integers(1, 4))
+def test_expand_product_matches_naive_oracle(u, T):
+    N = u.level
+    grid = 12 * N
+    lead = sum(e * unit_lead_key(N, h) for h, e in u.items())
+    s = expand_product(u, T)
+    assert s.level == N and s.trunc_key == T * grid
+    got = s.as_dict()
+    assert all(lead <= k < T * grid and (k - lead) % grid == 0 for k in got)
+    depth = max(0, -((lead - T * grid) // grid))
+    # the oracle is quadratic in each factor, so check a bounded prefix
+    want = _naive_product(u, min(depth, 60))
+    for j, c in enumerate(want):
+        assert got.get(lead + grid * j, 0) == c, (u, T, j)
+
+
+@st.composite
+def series(draw):
+    level = draw(st.integers(1, 6))
+    step = draw(st.integers(1, 30))
+    lead = draw(st.integers(-200, 200))
+    nonzero = st.fractions(max_denominator=6).filter(bool)
+    coeffs = [draw(nonzero)] + draw(st.lists(st.fractions(max_denominator=6), max_size=8))
+    trunc = lead + step * len(coeffs) + draw(st.integers(1, step))
+    return QSeries.make(level, {lead + step * j: c for j, c in enumerate(coeffs)}, trunc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(series(), st.integers(-4, 4))
+def test_series_pow_properties(a, e):
+    p = series_pow(a, e)
+    assert p.trunc_key == a.trunc_key + (e - 1) * a.lead_key
+    assert p.coeffs[0] == (e * a.lead_key, a.coeffs[0][1] ** e)
+    if e > 0:
+        product = a
+        for _ in range(e - 1):
+            product = series_mul(product, a)
+        assert p == product
+    assert series_mul(series_pow(a, -e), p).is_one()
