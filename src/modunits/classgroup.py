@@ -17,12 +17,7 @@ from .bernoulli import nonprincipal_quarter_product, yu_prefactor
 from .errors import ConsistencyError
 from .numtheory import factorize, is_prime
 from .siegel import LevelContext, divisor, is_gamma1_modular, orbit_condition_holds
-from .zlinalg import (
-    hnf,
-    lattice_index,
-    smith_invariants_bounded,
-    snf_with_transforms,
-)
+from .zlinalg import lattice_index, mat_mul, smith_invariants_bounded, smith_transforms_bounded
 
 __all__ = [
     "ConsistencyError",
@@ -242,19 +237,19 @@ def _partial_sum_coords(rows: list[list[int]]) -> list[list[int]]:
 
 @lru_cache(maxsize=None)
 def _quotient_data(N: int, generator: int | None = None):
-    """Smith data of the coordinate matrix: (diagonal, V, V^{-1})."""
+    """Smith data of the coordinate matrix mod h: (diagonal, V, V^{-1} mod h)."""
     report = analyze(N, generator)
     coords = _partial_sum_coords([list(r) for r in report.matrix])
     if not coords:
         return (), (), ()
-    S, _, V = snf_with_transforms(coords)
-    diag = tuple(S[i][i] for i in range(len(S)))
-    if any(d == 0 for d in diag):
-        raise DegenerateRankError(f"coordinate matrix at N={N} is rank-deficient")
-    H, U = hnf(V)
-    if any(H[i][j] != (i == j) for i in range(len(H)) for j in range(len(H))):
-        raise ConsistencyError(f"N={N}: the Smith column transform is not unimodular")
-    return diag, tuple(tuple(r) for r in V), tuple(tuple(r) for r in U)
+    h = report.h_yu
+    diag, V, W = smith_transforms_bounded(coords, h)
+    if tuple(d for d in diag if d != 1) != report.structure.invariants:
+        raise ConsistencyError(f"N={N}: the tracked Smith reduction disagrees with the structure")
+    VW = mat_mul(V, W)
+    if any((x - (i == j)) % h for i, row in enumerate(VW) for j, x in enumerate(row)):
+        raise ConsistencyError(f"N={N}: the Smith column transform is not invertible mod h")
+    return tuple(diag), tuple(tuple(r) for r in V), tuple(tuple(r) for r in W)
 
 
 def _coords_to_divisor(coords: list[int]) -> list[int]:
@@ -271,13 +266,14 @@ def generators(N: int, generator: int | None = None) -> list[tuple[list[int], in
     """Degree-0 divisors generating the class group, with their orders.
 
     Returns one (divisor, order) pair per nontrivial invariant, divisors in
-    ascending-cusp coordinates.
+    ascending-cusp coordinates.  Coefficients are differences of balanced
+    residues mod h, so none exceeds h in absolute value.
     """
-    diag, _, vinv = _quotient_data(N, generator)
+    diag, _, W = _quotient_data(N, generator)
     out = []
     for i, d in enumerate(diag):
         if d > 1:
-            out.append((_coords_to_divisor(list(vinv[i])), d))
+            out.append((_coords_to_divisor(list(W[i])), d))
     return out
 
 
@@ -289,10 +285,7 @@ def class_coordinates(N: int, div: list[int], generator: int | None = None) -> l
     if sum(div) != 0:
         raise ValueError("divisor must have degree 0")
     diag, V, _ = _quotient_data(N, generator)
-    acc, coords = 0, []
-    for x in div[:-1]:
-        acc += x
-        coords.append(acc)
+    coords = _partial_sum_coords([div])[0]
     out = []
     for j, d in enumerate(diag):
         y = sum(coords[i] * V[i][j] for i in range(len(coords)))

@@ -5,7 +5,9 @@ primary-table, verify, qcheck.  Every command takes --json for structured
 output and --generator to override the canonical generator at prime-power
 levels; table refuses --generator with exit code 2.  Results can be cached
 as JSON files keyed by (N, tool version, generator); the default cache
-directory comes from MODUNITS_CACHE_DIR.
+directory comes from MODUNITS_CACHE_DIR.  A cached record that does not
+match its key or whose invariants do not multiply to its class number is
+recomputed and overwritten.
 
 Exit codes: 0 success, 2 invalid arguments, 3 internal consistency failure
 or reference-table mismatch.
@@ -16,11 +18,13 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from datetime import datetime, timezone
 
 from . import __version__
 from .classgroup import (
     ConsistencyError,
+    GroupStructure,
     analyze,
     conjecture_report,
     p_primary,
@@ -68,12 +72,28 @@ def build_record(N: int, generator: int | None = None) -> dict:
         "basis": basis_json,
         "checks": {
             "yu_vs_lattice": report.h_lattice == report.h_yu,
-            "orbit": True,
+            # the orbit condition is only checked at composite levels
+            "orbit": None if is_prime(N) else True,
             "q_integrality": q_ok,
         },
         "timestamps": {"computed_at": _utc_now()},
         "timings": {stage: t for stage, t in report.timings},
     }
+
+
+def _is_valid_record(rec, N: int, generator: int | None) -> bool:
+    """Whether a loaded record belongs to (N, generator, version) and its
+    invariants form a divisibility chain whose product is the class number."""
+    if not isinstance(rec, dict):
+        return False
+    if (rec.get("n"), rec.get("generator"), rec.get("version")) != (N, generator, __version__):
+        return False
+    try:
+        h = int(rec["class_number"])
+        st = GroupStructure(tuple(int(d) for d in rec["invariants"]))
+    except (KeyError, TypeError, ValueError):
+        return False
+    return st.order == h
 
 
 class Cache:
@@ -85,20 +105,33 @@ class Cache:
         return os.path.join(self.directory, f"N{N}-g{gen}-v{__version__}.json")
 
     def load(self, N: int, generator: int | None) -> dict | None:
+        """The stored record, or None if it is missing, unreadable or fails
+        `_is_valid_record`."""
         if not self.directory:
             return None
         try:
             with open(self._path(N, generator)) as f:
-                return json.load(f)
+                rec = json.load(f)
         except (OSError, ValueError):
             return None
+        return rec if _is_valid_record(rec, N, generator) else None
 
     def store(self, N: int, generator: int | None, record: dict) -> None:
+        """Write the record atomically: a temp file in the cache directory,
+        then `os.replace`, so a reader never sees a partial file."""
         if not self.directory:
             return
         os.makedirs(self.directory, exist_ok=True)
-        with open(self._path(N, generator), "w") as f:
-            json.dump(record, f, sort_keys=True)
+        path = self._path(N, generator)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as f:
+                json.dump(record, f, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(tmp)
+            raise
 
 
 def cached_record(N: int, generator: int | None, cache: Cache) -> dict:

@@ -1,9 +1,13 @@
 """Exact linear algebra over ZZ and QQ.
 
 Dense row-major matrices are plain lists of lists.  Determinants use
-fraction-free (Bareiss) elimination; Hermite and Smith normal forms use
-integer row/column reduction with smallest-pivot selection to keep entry
-growth in check.  All results are exact.
+fraction-free (Bareiss) elimination.  The class-group pipeline runs one
+Smith reduction, with entries balanced mod an annihilator D and optional
+column transforms mod D (`smith_invariants_bounded`,
+`smith_transforms_bounded`).  The unbounded Hermite and Smith normal forms
+(`hnf`, `snf_with_transforms`) use integer row/column reduction with
+smallest-pivot selection and serve as reference routines for the tests.
+All results are exact.
 """
 
 from fractions import Fraction
@@ -247,6 +251,25 @@ def smith_invariants_bounded(m, annihilator: int) -> list[int]:
     grows beyond D/2; this is what makes large levels tractable.  Returns
     one invariant per column (units included), divisibility chain ascending.
     """
+    return _smith_mod(m, annihilator, track=False)[0]
+
+
+def smith_transforms_bounded(m, annihilator: int) -> tuple[list[int], IntMatrix, IntMatrix]:
+    """Smith invariants mod D with the column transform: (invariants, V, W).
+
+    Same reduction and invariants as `smith_invariants_bounded`.  V and W
+    are n x n, inverse to each other mod D, with balanced entries (at most
+    D/2 in absolute value).  Column j of m*V is 0 mod the j-th invariant, so
+    x -> x*V mod d_j gives the coordinates of a class of the quotient, and
+    row j of W is a class with coordinates e_j.
+    """
+    return _smith_mod(m, annihilator, track=True)
+
+
+def _smith_mod(m, annihilator: int, track: bool):
+    # Cohen, GTM 138, Alg. 2.4.14 done mod D: column operations on A are
+    # mirrored on the columns of V and, inverted, on the rows of W; row
+    # operations and the implicit D rows leave both alone
     D = int(annihilator)
     if D < 1:
         raise ValueError("annihilator must be a positive integer")
@@ -255,6 +278,10 @@ def smith_invariants_bounded(m, annihilator: int) -> list[int]:
     ncols = len(A[0]) if A else 0
     if any(len(r) != ncols for r in A):
         raise ValueError("matrix must be rectangular")
+    V = W = None
+    if track:
+        V = [[_balanced(x, D) for x in row] for row in identity(ncols)]
+        W = [row[:] for row in V]
     out: list[int] = []
     for k in range(ncols):
         exhausted = False
@@ -275,6 +302,10 @@ def smith_invariants_bounded(m, annihilator: int) -> list[int]:
             if j0 != k:
                 for row in A:
                     row[k], row[j0] = row[j0], row[k]
+                if track:
+                    for row in V:
+                        row[k], row[j0] = row[j0], row[k]
+                    W[k], W[j0] = W[j0], W[k]
             if A[k][k] < 0:
                 A[k] = [-x for x in A[k]]
             pivot = A[k][k]
@@ -294,6 +325,12 @@ def smith_invariants_bounded(m, annihilator: int) -> list[int]:
                     if q:
                         for row in A:
                             row[j] = _balanced(row[j] - q * row[k], D)
+                        if track:
+                            for row in V:
+                                row[j] = _balanced(row[j] - q * row[k], D)
+                            row_k, row_j = W[k], W[j]
+                            for i in range(ncols):
+                                row_k[i] = _balanced(row_k[i] + q * row_j[i], D)
                     if A[k][j]:
                         dirty = True
             if dirty:
@@ -318,7 +355,7 @@ def smith_invariants_bounded(m, annihilator: int) -> list[int]:
             out.extend([D] * (ncols - k))
             break
         out.append(A[k][k])
-    return out
+    return out, V, W
 
 
 def lattice_index(rows, size: int | None = None) -> int:

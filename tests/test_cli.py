@@ -69,6 +69,8 @@ def test_json_schema(capsys):
         "display": "E1^(12)(3t)/(E5^(12)(3t))",
     }
     assert rec["version"] == __version__
+    # the orbit condition is only checked at composite levels
+    assert build_record(13)["checks"]["orbit"] is None
 
 
 def test_record_round_trip():
@@ -153,6 +155,25 @@ def test_cache_round_trip(tmp_path, capsys):
         assert code == 0
         assert first == second
     assert len(list(tmp_path.iterdir())) == len(set(levels))
+
+
+def test_cache_never_serves_a_wrong_or_corrupt_record(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "classnum", "13", "--cache-dir", str(tmp_path))
+    assert code == 0
+    (path,) = tmp_path.iterdir()
+    good = json.loads(path.read_text())
+    # a tampered class number no longer matches the invariants: recomputed
+    path.write_text(json.dumps(dict(good, class_number="20")))
+    code, out, _ = run_cli(capsys, "classnum", "13", "--cache-dir", str(tmp_path))
+    assert (code, out.strip()) == (0, "19")
+    assert json.loads(path.read_text())["class_number"] == "19"
+    # a truncated file is recomputed and rewritten
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    code, out, _ = run_cli(capsys, "classnum", "13", "--cache-dir", str(tmp_path))
+    assert (code, out.strip()) == (0, "19")
+    assert json.loads(path.read_text())["class_number"] == "19"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_cache_env_and_no_cache(tmp_path, capsys, monkeypatch):

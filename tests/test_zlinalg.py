@@ -4,6 +4,8 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from modunits.zlinalg import (
     det,
@@ -15,6 +17,7 @@ from modunits.zlinalg import (
     mat_mul,
     smith_invariants,
     smith_invariants_bounded,
+    smith_transforms_bounded,
     snf,
     snf_with_transforms,
 )
@@ -145,6 +148,30 @@ def test_snf_bounded_matches_plain():
         if d == 0:
             continue
         assert smith_invariants_bounded(m, d) == smith_invariants(m)
+
+
+@st.composite
+def nonsingular_with_annihilator(draw):
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-9, 9)
+    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    d = abs(det_int(m))
+    assume(d)
+    return m, d * draw(st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonsingular_with_annihilator())
+def test_smith_transforms_bounded_properties(case):
+    m, D = case
+    n = len(m)
+    inv, V, W = smith_transforms_bounded(m, D)
+    assert inv == smith_invariants(m)
+    VW = mat_mul(V, W)
+    assert all((VW[i][j] - (i == j)) % D == 0 for i in range(n) for j in range(n))
+    for row in mat_mul(m, V):
+        assert all(x % d == 0 for x, d in zip(row, inv))
+    assert all(2 * abs(x) <= D for t in (V, W) for row in t for x in row)
 
 
 def test_hnf_snf_pivot_products_agree():
