@@ -2,9 +2,9 @@
 
 The exact route never touches cyclotomic arithmetic: the product of
 (1/4)*B_{2,chi} over all even characters mod N equals (up to sign) the
-determinant of the Bernoulli matrix, which is computed fraction-free over
-QQ.  Dirichlet characters are enumerated via CRT generators and used only
-as a floating-point cross-check.
+determinant of the Bernoulli matrix, whose entries are integers over 12N,
+so it is computed fraction-free.  Dirichlet characters are enumerated via
+CRT generators and used only as a floating-point cross-check.
 """
 
 import cmath
@@ -24,10 +24,26 @@ from .numtheory import (
     inv_mod,
     order_in_units_mod_pm1,
     primitive_root,
+    unit_lead_key,
 )
 from .zlinalg import det_int
 
 TWO_PI = 2 * cmath.pi
+
+
+def _bernoulli_keys(N: int, generator: int | None) -> list[list[int]]:
+    """12N times `bernoulli_matrix(N, generator)`: entries unit_lead_key(N, g)."""
+    if N < 5:
+        raise ValueError(f"bernoulli_matrix requires N >= 5, got {N}")
+    n = euler_phi(N) // 2
+    if generator is None:
+        idx = [a for a in range(1, N // 2 + 1) if gcd(a, N) == 1]
+        invs = [inv_mod(a, N) for a in idx]
+        return [[unit_lead_key(N, a * ainv) for ainv in invs] for a in idx]
+    if gcd(generator, N) != 1 or order_in_units_mod_pm1(generator, N) != n:
+        raise ValueError(f"{generator} does not generate (Z/{N}Z)^x/+-1")
+    powers = [pow(generator, k, N) for k in range(2 * n - 1)]
+    return [[unit_lead_key(N, powers[i + j]) for j in range(n)] for i in range(n)]
 
 
 def bernoulli_matrix(N: int, generator: int | None = None) -> list[list[Fraction]]:
@@ -38,39 +54,19 @@ def bernoulli_matrix(N: int, generator: int | None = None) -> list[list[Fraction
     With a generator `a` of (Z/NZ)^x/+-1 (prime powers), the entry is
     (N/2) * B2(a^{i+j-2} / N) instead, matching the worked-example layout.
     """
-    if N < 5:
-        raise ValueError(f"bernoulli_matrix requires N >= 5, got {N}")
-    n = euler_phi(N) // 2
-    half = Fraction(N, 2)
-    if generator is None:
-        idx = [a for a in range(1, N // 2 + 1) if gcd(a, N) == 1]
-        invs = [inv_mod(a, N) for a in idx]
-        return [
-            [half * b2(Fraction(a * ainv % N, N)) for ainv in invs]
-            for a in idx
-        ]
-    if gcd(generator, N) != 1 or order_in_units_mod_pm1(generator, N) != n:
-        raise ValueError(f"{generator} does not generate (Z/{N}Z)^x/+-1")
-    powers = [pow(generator, k, N) for k in range(2 * n - 1)]
-    return [
-        [half * b2(Fraction(powers[i + j], N)) for j in range(n)]
-        for i in range(n)
-    ]
+    scale = 12 * N
+    return [[Fraction(k, scale) for k in row] for row in _bernoulli_keys(N, generator)]
 
 
 def bernoulli_matrix_det(N: int, generator: int | None = None) -> Fraction:
     """Exact determinant of the Bernoulli matrix.
 
     Equals the product of (1/4)*B_{2,chi} over all even characters mod N,
-    up to a sign that depends on the index ordering.  Entries are cleared
-    to integers ((N/2)*B2(g/N) = (6g^2 - 6gN + N^2) / (12N)) and the
-    determinant is computed fraction-free.
+    up to a sign that depends on the index ordering.  The determinant of
+    the integer matrix 12N * M is computed fraction-free and scaled back.
     """
-    m = bernoulli_matrix(N, generator)
-    n = len(m)
-    scale = 12 * N
-    im = [[int(x * scale) for x in row] for row in m]
-    return Fraction(det_int(im), scale**n)
+    keys = _bernoulli_keys(N, generator)
+    return Fraction(det_int(keys), (12 * N) ** len(keys))
 
 
 def b2_chi0(N: int) -> Fraction:
@@ -81,11 +77,8 @@ def b2_chi0(N: int) -> Fraction:
     """
     if N < 3:
         raise ValueError(f"b2_chi0 requires N >= 3, got {N}")
-    total = Fraction(0)
-    for a in range(1, N + 1):
-        if gcd(a, N) == 1:
-            total += b2(Fraction(a, N))
-    return N * total
+    keys = (unit_lead_key(N, a) for a in range(1, N) if gcd(a, N) == 1)
+    return Fraction(sum(keys), 6 * N)
 
 
 def nonprincipal_quarter_product(N: int) -> Fraction:
@@ -232,6 +225,7 @@ def enumerate_even_characters(N: int) -> list[DirichletCharacter]:
     return out
 
 
+@lru_cache(maxsize=None)
 def conductor(chi: DirichletCharacter) -> int:
     """Least f | N such that chi is induced from a character mod f."""
     N = chi.modulus

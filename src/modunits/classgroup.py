@@ -9,13 +9,12 @@ primary self-check.
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .basis import BasisElement, basis
 from .bernoulli import nonprincipal_quarter_product, yu_prefactor
 from .errors import ConsistencyError
-from .numtheory import factorize, is_prime
+from .numtheory import is_prime
 from .siegel import LevelContext, divisor, is_gamma1_modular, orbit_condition_holds
 from .zlinalg import lattice_index, mat_mul, smith_invariants_bounded, smith_transforms_bounded
 

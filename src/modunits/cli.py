@@ -4,10 +4,10 @@ Commands: classnum, structure, basis, primary, conjecture, table,
 primary-table, verify, qcheck.  Every command takes --json for structured
 output and --generator to override the canonical generator at prime-power
 levels; table refuses --generator with exit code 2.  Results can be cached
-as JSON files keyed by (N, tool version, generator); the default cache
-directory comes from MODUNITS_CACHE_DIR.  A cached record that does not
-match its key or whose invariants do not multiply to its class number is
-recomputed and overwritten.
+as JSON files keyed by (N, generator, tool version, CACHE_REVISION); the
+default cache directory comes from MODUNITS_CACHE_DIR.  A cached record
+that does not match its key or whose invariants do not multiply to its
+class number is recomputed and overwritten.
 
 Exit codes: 0 success, 2 invalid arguments, 3 internal consistency failure
 or reference-table mismatch.
@@ -31,11 +31,14 @@ from .classgroup import (
     primary_notation,
 )
 from .corpus import primary_rows, structures
-from .numtheory import is_prime
-from .qexpansion import expand_product, unit_lead_key
+from .numtheory import is_prime, unit_lead_key
+from .qexpansion import expand_product
 from .siegel import genus_x1
 
 CACHE_ENV = "MODUNITS_CACHE_DIR"
+#: algorithm revision in the cache file name; bump it whenever a change to
+#: the pipeline can change a record, since __version__ does not move then
+CACHE_REVISION = 2
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -102,7 +105,7 @@ class Cache:
 
     def _path(self, N: int, generator: int | None) -> str:
         gen = "auto" if generator is None else str(generator)
-        return os.path.join(self.directory, f"N{N}-g{gen}-v{__version__}.json")
+        return os.path.join(self.directory, f"N{N}-g{gen}-v{__version__}-r{CACHE_REVISION}.json")
 
     def load(self, N: int, generator: int | None) -> dict | None:
         """The stored record, or None if it is missing, unreadable or fails

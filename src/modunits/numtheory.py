@@ -7,8 +7,6 @@ values are `fractions.Fraction` (always in lowest terms, denominator >= 1).
 from fractions import Fraction
 from math import gcd, isqrt
 
-Rational = Fraction
-
 #: second Bernoulli polynomial constant term
 _ONE_SIXTH = Fraction(1, 6)
 
@@ -136,6 +134,22 @@ def b2(x: Fraction | int) -> Fraction:
     x = Fraction(x)
     frac = x - (x.numerator // x.denominator)
     return frac * frac - frac + _ONE_SIXTH
+
+
+def unit_lead_key(N: int, g: int) -> int:
+    """12N * (N/2) * B2(g/N) = 6g^2 - 6gN + N^2, with g reduced into [1, N-1].
+
+    The order of g_h at the width-one cusp a/N is unit_lead_key(N, a*h)/(12N).
+
+    >>> unit_lead_key(13, 1)
+    97
+    >>> Fraction(unit_lead_key(13, 1), 12 * 13) == Fraction(13, 2) * b2(Fraction(1, 13))
+    True
+    """
+    g %= N
+    if g == 0:
+        raise ValueError(f"index 0 is not a valid Siegel-unit index mod {N}")
+    return 6 * g * g - 6 * g * N + N * N
 
 
 def order_in_units_mod_pm1(a: int, m: int) -> int:

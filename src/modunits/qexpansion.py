@@ -25,6 +25,7 @@ from math import gcd
 from operator import mul
 
 from .errors import ConsistencyError
+from .numtheory import unit_lead_key
 from .siegel import UnitProduct
 
 __all__ = [
@@ -79,14 +80,6 @@ class QSeries:
         if len(self.coeffs) > 6:
             parts.append("...")
         return " + ".join(parts)
-
-
-def unit_lead_key(N: int, g: int) -> int:
-    """12N times the leading exponent N*B2(g/N)/2, for 1 <= g <= N-1."""
-    g %= N
-    if g == 0:
-        raise ValueError(f"index 0 is not a valid Siegel-unit index mod {N}")
-    return 6 * g * g - 6 * g * N + N * N
 
 
 def expand_unit(N: int, g: int, T: int = 8) -> QSeries:

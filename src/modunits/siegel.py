@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import ConsistencyError
-from .numtheory import b2, euler_phi, factorize, is_prime
+from .numtheory import b2, divisors, euler_phi, factorize, is_prime, unit_lead_key
 
 __all__ = [
     "LevelContext",
@@ -64,16 +64,14 @@ def genus_x1(N: int) -> int:
     """Genus of X_1(N) for N >= 5 (no elliptic points in this range)."""
     if N < 5:
         raise ValueError(f"genus formula implemented for N >= 5, got {N}")
-    from .numtheory import divisors, euler_phi, factorize
-
     index2 = N * N
     for p, _ in factorize(N):
         index2 = index2 // (p * p) * (p * p - 1)
     cusps = sum(euler_phi(d) * euler_phi(N // d) for d in divisors(N)) // 2
-    g = Fraction(index2, 24) - Fraction(cusps, 2) + 1
-    if g.denominator != 1:
-        raise ConsistencyError(f"genus of X_1({N}) is not an integer: {g}")
-    return int(g)
+    g24 = index2 - 12 * cusps + 24
+    if g24 % 24:
+        raise ConsistencyError(f"genus of X_1({N}) is not an integer: {g24}/24")
+    return g24 // 24
 
 
 def unit_indices(N: int) -> list[int]:
@@ -223,15 +221,11 @@ def order_at_cusp(N: int, g: int, a: int, c: int | None = None) -> Fraction:
 def divisor(u: UnitProduct) -> CuspDivisor:
     """Divisor of a unit product on the width-one cusps (exact orders)."""
     N = u.level
-    ctx = LevelContext.of(N)
-    half_n = Fraction(N, 2)
-    orders = []
-    for a in ctx.cusps:
-        total = Fraction(0)
-        for h, e in u.items():
-            total += e * half_n * b2(Fraction(a * h, N))
-        orders.append(total)
-    return CuspDivisor(N, tuple(orders))
+    orders = tuple(
+        Fraction(sum(e * unit_lead_key(N, a * h) for h, e in u.items()), 12 * N)
+        for a in LevelContext.of(N).cusps
+    )
+    return CuspDivisor(N, orders)
 
 
 def is_gamma1_modular(u: UnitProduct) -> bool:
@@ -302,10 +296,7 @@ def _factor_str(h: int, e: int, level: int | None, scale: int) -> str:
     if scale != 1:
         s += f"({scale}t)"
     if abs(e) != 1:
-        if level is not None or scale != 1:
-            s += f"^{abs(e)}"
-        else:
-            s += f"^{abs(e)}"
+        s += f"^{abs(e)}"
     return s
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -49,6 +50,16 @@ def test_entry_denominators_divide_12N():
         for row in bernoulli_matrix(N):
             for x in row:
                 assert (12 * N) % x.denominator == 0
+    # the integer kernel against (N/2) * B2 through numtheory.b2, both layouts
+    for N, gen in ((13, None), (21, None), (36, None), (13, 7), (27, 2)):
+        idx = [a for a in range(1, N // 2 + 1) if gcd(a, N) == 1]
+        n = len(idx)
+        if gen is None:
+            args = [[a * pow(c, -1, N) for c in idx] for a in idx]
+        else:
+            args = [[pow(gen, i + j, N) for j in range(n)] for i in range(n)]
+        want = [[Fraction(N, 2) * b2(Fraction(g, N)) for g in row] for row in args]
+        assert bernoulli_matrix(N, gen) == want
 
 
 def test_b2_chi0_values():

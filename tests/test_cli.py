@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from modunits import __version__
-from modunits.cli import build_record, main
+from modunits.cli import CACHE_REVISION, build_record, main
 
 
 def run_cli(capsys, *argv):
@@ -174,6 +174,13 @@ def test_cache_never_serves_a_wrong_or_corrupt_record(tmp_path, capsys):
     assert (code, out.strip()) == (0, "19")
     assert json.loads(path.read_text())["class_number"] == "19"
     assert list(tmp_path.iterdir()) == [path]
+    # a record under the old, revision-less name is never served, even one
+    # whose invariants multiply to its tampered class number
+    assert path.name == f"N13-gauto-v{__version__}-r{CACHE_REVISION}.json"
+    stale = tmp_path / f"N13-gauto-v{__version__}.json"
+    stale.write_text(json.dumps(dict(good, class_number="20", invariants=["20"])))
+    code, out, _ = run_cli(capsys, "classnum", "13", "--cache-dir", str(tmp_path))
+    assert (code, out.strip()) == (0, "19")
 
 
 def test_cache_env_and_no_cache(tmp_path, capsys, monkeypatch):

@@ -93,6 +93,11 @@ def test_divisor_is_homomorphism():
             d12 = divisor(u1 * u2)
             d1, d2 = divisor(u1), divisor(u2)
             assert d12.orders == tuple(x + y for x, y in zip(d1.orders, d2.orders))
+            # the integer kernel against the Fraction reference formula
+            assert d1.orders == tuple(
+                sum(e * order_at_cusp(N, h, a) for h, e in u1.items())
+                for a in LevelContext.of(N).cusps
+            )
 
 
 def test_divisor_empty_product_zero():
