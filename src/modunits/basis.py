@@ -1,11 +1,12 @@
 """Explicit generating sets of the width-one-cusp modular-unit groups.
 
 For every level N >= 5 the construction returns exactly phi(N)/2 - 1
-multiplicatively independent unit products, dispatched over four branches:
-prime, odd prime power, power of two, squarefree composite, and general
-composite.  Elements coming from a lower level M (scaled by d = N/M) keep
-their level-M exponent vector for display while the level-N vector drives
-all divisor arithmetic.
+multiplicatively independent unit products.  One construction serves every
+prime-power level (primes, odd prime powers and powers of two); squarefree
+composite and general composite levels have one construction each.
+Elements coming from a lower level M (scaled by d = N/M) keep their level-M
+exponent vector for display while the level-N vector drives all divisor
+arithmetic.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from .numtheory import (
     order_in_units_mod_pm1,
     generator_mod_pm1,
 )
-from .siegel import UnitProduct, normalize_index, render_product
+from .siegel import LevelContext, UnitProduct, normalize_index, render_product
 
 __all__ = [
     "BasisElement",
@@ -95,112 +96,60 @@ def _checked_count(N: int, out: list[BasisElement], expected: int) -> list[Basis
     return out
 
 
+def _prime_power_basis(p: int, k: int, generator: int | None, branch: str) -> list[BasisElement]:
+    """Generators at level p^k: phi(p^k)/2 - 1 elements.
+
+    With a the generator, b = a^-1 mod p and phi[ell] = phi(p^ell)/2
+    (phi[0] = 1), let Q_i = E_{a^(i-1)} / E_{a^(i+s-1)} at level p^ell with
+    shift s = phi[ell-1].  At level p^k this gives a band Q_i / Q_{i+1}^(b^2)
+    and a pivot Q_top^p; then one band of scaled Q_i per lower
+    level p^ell, down to ell = 1 for odd p and to ell = 3 (level 8) for
+    p = 2.  b^2 is 1 at p = 2; at k = 1 there are no lower bands.
+    """
+    N = p**k
+    a = _resolve_generator(N, generator)
+    bsq = normalize_index(p, inv_mod(a, p)) ** 2
+    phi = [1] + [euler_phi(p**ell) // 2 for ell in range(1, k + 1)]
+
+    def quotient(M: int, i: int, shift: int, e: int) -> list[tuple[int, int]]:
+        """E_{a^(i-1)}^e / E_{a^(i+shift-1)}^e at level M."""
+        return [(pow(a, i - 1, M), e), (pow(a, i + shift - 1, M), -e)]
+
+    top, shift = phi[k] - phi[k - 1], phi[k - 1]
+    out = []
+    for i in range(1, top):
+        exps = _combine(N, quotient(N, i, shift, 1) + quotient(N, i + 1, shift, -bsq))
+        out.append(_element(N, N, exps, branch, i=i))
+    out.append(_element(N, N, _combine(N, quotient(N, top, shift, p)), branch, i=top))
+    for ell in range(k - 1, 2 if p == 2 else 0, -1):
+        M = p**ell
+        shift = phi[ell - 1]
+        for i in range(phi[k] - phi[ell] + 1, phi[k] - shift + 1):
+            out.append(_element(N, M, _combine(M, quotient(M, i, shift, 1)), branch, i=i))
+    return _checked_count(N, out, phi[k] - 1)
+
+
 def basis_prime(p: int, generator: int | None = None) -> list[BasisElement]:
     """Generators at an odd prime level p >= 5: (p-1)/2 - 1 elements."""
     if not is_prime(p) or p < 5:
         raise ValueError(f"prime branch requires a prime >= 5, got {p}")
-    a = _resolve_generator(p, generator)
-    b = normalize_index(p, inv_mod(a, p))
-    bsq = b * b
-    n = (p - 1) // 2
-    out = []
-    for i in range(1, n - 1):
-        exps = _combine(
-            p,
-            [
-                (pow(a, i - 1, p), 1),
-                (pow(a, i + 1, p), bsq),
-                (pow(a, i, p), -(1 + bsq)),
-            ],
-        )
-        out.append(_element(p, p, exps, "prime", i=i))
-    exps = _combine(p, [(bsq, p), (b, -p)])
-    out.append(_element(p, p, exps, "prime", i=n - 1))
-    return out
-
-
-def _phi_half(p: int, ell: int) -> int:
-    return 1 if ell == 0 else euler_phi(p**ell) // 2
+    return _prime_power_basis(p, 1, generator, "prime")
 
 
 def basis_odd_prime_power(p: int, k: int, generator: int | None = None) -> list[BasisElement]:
-    """Generators at level p^k (p odd, k >= 2): phi(p^k)/2 - 1 elements.
-
-    A band of quotients at level p^k, a p-th-power pivot, then one band of
-    scaled quotients per lower level p^ell down to ell = 1.
-    """
+    """Generators at level p^k (p odd, k >= 2): phi(p^k)/2 - 1 elements."""
     if not is_prime(p) or p == 2:
         raise ValueError(f"odd-prime-power branch requires odd prime p, got {p}")
     if k < 2:
         raise ValueError(f"odd-prime-power branch requires k >= 2, got {k}")
-    N = p**k
-    a = _resolve_generator(N, generator)
-    b = normalize_index(p, inv_mod(a, p))
-    bsq = b * b
-    phi = [_phi_half(p, ell) for ell in range(k + 1)]
-    out = []
-    for i in range(1, phi[k] - phi[k - 1]):
-        exps = _combine(
-            N,
-            [
-                (pow(a, i - 1, N), 1),
-                (pow(a, i + phi[k - 1], N), bsq),
-                (pow(a, i + phi[k - 1] - 1, N), -1),
-                (pow(a, i, N), -bsq),
-            ],
-        )
-        out.append(_element(N, N, exps, "odd-prime-power", i=i))
-    i = phi[k] - phi[k - 1]
-    exps = _combine(N, [(pow(a, i - 1, N), p), (pow(a, i + phi[k - 1] - 1, N), -p)])
-    out.append(_element(N, N, exps, "odd-prime-power", i=i))
-    for ell in range(k - 1, 0, -1):
-        M = p**ell
-        shift = phi[ell - 1]
-        for i in range(phi[k] - phi[ell] + 1, phi[k] - shift + 1):
-            sub = _combine(
-                M,
-                [(pow(a, i - 1, M), 1), (pow(a, i + shift - 1, M), -1)],
-            )
-            out.append(_element(N, M, sub, "odd-prime-power", i=i))
-    return _checked_count(N, out, phi[k] - 1)
+    return _prime_power_basis(p, k, generator, "odd-prime-power")
 
 
 def basis_two_power(k: int, generator: int | None = None) -> list[BasisElement]:
-    """Generators at level 2^k (k >= 3): 2^(k-2) - 1 elements.
-
-    Same band layout as the odd case with the quotient exponent replaced
-    by 1, a squared pivot, and lower levels stopping at 8.
-    """
+    """Generators at level 2^k (k >= 3): 2^(k-2) - 1 elements."""
     if k < 3:
         raise ValueError(f"two-power branch requires k >= 3, got {k}")
-    N = 2**k
-    a = _resolve_generator(N, generator)
-    phi = {ell: 2 ** (ell - 2) for ell in range(2, k + 1)}
-    out = []
-    for i in range(1, phi[k] - phi[k - 1]):
-        exps = _combine(
-            N,
-            [
-                (pow(a, i - 1, N), 1),
-                (pow(a, i + phi[k - 1], N), 1),
-                (pow(a, i, N), -1),
-                (pow(a, i + phi[k - 1] - 1, N), -1),
-            ],
-        )
-        out.append(_element(N, N, exps, "two-power", i=i))
-    i = phi[k] - phi[k - 1]
-    exps = _combine(N, [(pow(a, i - 1, N), 2), (pow(a, i + phi[k - 1] - 1, N), -2)])
-    out.append(_element(N, N, exps, "two-power", i=i))
-    for ell in range(k - 1, 2, -1):
-        M = 2**ell
-        shift = phi[ell - 1]
-        for i in range(phi[k] - phi[ell] + 1, phi[k] - shift + 1):
-            sub = _combine(
-                M,
-                [(pow(a, i - 1, M), 1), (pow(a, i + shift - 1, M), -1)],
-            )
-            out.append(_element(N, M, sub, "two-power", i=i))
-    return _checked_count(N, out, phi[k] - 1)
+    return _prime_power_basis(2, k, generator, "two-power")
 
 
 def _index_at(M: int, g: int, k: int) -> int:
@@ -237,7 +186,7 @@ def basis_squarefree(N: int, generator: int | None = None) -> list[BasisElement]
         raise ValueError(f"squarefree branch requires squarefree composite N, got {N}")
     if generator is not None:
         raise ValueError("generator override only applies to prime-power levels")
-    S = [g for g in range(1, N // 2 + 1) if gcd(g, N) == 1]
+    S = LevelContext.of(N).cusps
     out = []
     for g1, g2 in zip(S, S[1:]):
         exps = dict(mobius_product(N, g1))

@@ -26,6 +26,7 @@ from .numtheory import (
     primitive_root,
     unit_lead_key,
 )
+from .siegel import LevelContext
 from .zlinalg import det_int
 
 TWO_PI = 2 * cmath.pi
@@ -35,9 +36,9 @@ def _bernoulli_keys(N: int, generator: int | None) -> list[list[int]]:
     """12N times `bernoulli_matrix(N, generator)`: entries unit_lead_key(N, g)."""
     if N < 5:
         raise ValueError(f"bernoulli_matrix requires N >= 5, got {N}")
-    n = euler_phi(N) // 2
+    idx = LevelContext.of(N).cusps
+    n = len(idx)
     if generator is None:
-        idx = [a for a in range(1, N // 2 + 1) if gcd(a, N) == 1]
         invs = [inv_mod(a, N) for a in idx]
         return [[unit_lead_key(N, a * ainv) for ainv in invs] for a in idx]
     if gcd(generator, N) != 1 or order_in_units_mod_pm1(generator, N) != n:

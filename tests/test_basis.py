@@ -98,6 +98,8 @@ def test_two_power_16():
     assert lattice_index(rows) == 10
     with pytest.raises(ValueError):
         basis_two_power(2)
+    with pytest.raises(ValueError):
+        basis_two_power(5, generator=4)
 
 
 def test_squarefree_21():
@@ -173,7 +175,9 @@ def test_general_rejects():
 
 
 def test_dispatch_and_counts():
+    assert {e.branch for e in basis(5)} == {"prime"}
     assert {e.branch for e in basis(11)} == {"prime"}
+    assert {e.branch for e in basis(32)} == {"two-power"}
     assert {e.branch for e in basis(27)} == {"odd-prime-power"}
     assert {e.branch for e in basis(60)} == {"general"}
     for N in range(5, 121):

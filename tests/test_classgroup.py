@@ -22,13 +22,26 @@ from modunits.classgroup import (
     primary_notation,
     structure,
 )
-from modunits.numtheory import factorize
+from modunits.numtheory import euler_phi, factorize, order_in_units_mod_pm1
 from modunits.siegel import LevelContext, normalize_index
 from modunits.zlinalg import det, hnf_pivots, lattice_index, mat_mul, snf
 
 
 def _order_of(N, div):
     return lcm(*(d // gcd(d, r) for r, d in class_coordinates(N, div))) if class_coordinates(N, div) else 1
+
+
+def test_structure_independent_of_generator_override():
+    # analyze checks the lattice route against the analytic route for every
+    # override, at primes, odd prime powers and powers of two alike
+    for N in range(5, 65):
+        if len(factorize(N)) != 1:
+            continue
+        n = euler_phi(N) // 2
+        gens = [g for g in range(2, N // 2 + 1) if gcd(g, N) == 1 and order_in_units_mod_pm1(g, N) == n]
+        assert gens, N
+        for g in gens[:3]:
+            assert structure(N, g) == structure(N), (N, g)
 
 
 def test_class_numbers_examples():
