@@ -200,6 +200,8 @@ def structure(N: int, generator: int | None = None) -> GroupStructure:
 
 def p_primary(N: int, p: int) -> dict[int, int]:
     """Multiset {exponent e: multiplicity} of the p-power parts p^e > 1."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     out: dict[int, int] = {}
     for d in structure(N).invariants:
         e = 0

@@ -175,8 +175,6 @@ def cmd_basis(args, cache: Cache) -> int:
 
 
 def cmd_primary(args, cache: Cache) -> int:
-    if not is_prime(args.p):
-        raise ValueError(f"{args.p} is not prime")
     parts = p_primary(args.N, args.p)
     record = {
         "n": args.N,

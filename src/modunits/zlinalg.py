@@ -4,9 +4,11 @@ Dense row-major matrices are plain lists of lists.  Determinants use
 fraction-free (Bareiss) elimination.  The class-group pipeline runs one
 Smith reduction, with entries balanced mod an annihilator D and optional
 column transforms mod D (`smith_invariants_bounded`,
-`smith_transforms_bounded`).  The unbounded Hermite and Smith normal forms
-(`hnf`, `snf_with_transforms`) use integer row/column reduction with
-smallest-pivot selection and serve as reference routines for the tests.
+`smith_transforms_bounded`); it clears each entry of a pivot column or row
+with one 2x2 unimodular Bezout step.  The unbounded Hermite and Smith
+normal forms (`hnf`, `snf_with_transforms`) use integer row/column
+reduction with smallest-pivot selection and serve as reference routines
+for the tests.
 All results are exact.
 """
 
@@ -266,95 +268,82 @@ def smith_transforms_bounded(m, annihilator: int) -> tuple[list[int], IntMatrix,
     return _smith_mod(m, annihilator, track=True)
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b >= 0.
+
+    When a | b it is the plain step (|a|, +-1, 0): a Bezout pair there may
+    swap the two rows, and the Smith reduction could then cycle.
+    """
+    if a and b % a == 0:
+        return abs(a), (1 if a > 0 else -1), 0
+    r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (r0, s0, t0) if r0 > 0 else (-r0, -s0, -t0)
+
+
 def _smith_mod(m, annihilator: int, track: bool):
-    # Cohen, GTM 138, Alg. 2.4.14 done mod D: column operations on A are
-    # mirrored on the columns of V and, inverted, on the rows of W; row
-    # operations and the implicit D rows leave both alone
+    # Cohen, GTM 138, Alg. 2.4.14 done mod D.  Each nonzero entry b of the
+    # pivot column (then row) is cleared by one unimodular 2x2 step
+    # [[s, t], [-b/g, a/g]] on rows (columns) k and i, where a is the pivot
+    # and s*a + t*b = g; this repeats while a column step refills column k.
+    # Then g = gcd(pivot, D) is the invariant, unless it misses an entry of
+    # the remainder, whose row is added to row k.  Column steps are mirrored
+    # on the columns of V and, inverted as [[a/g, b/g], [-t, s]], on the rows
+    # of W; row steps and the implicit D rows (zero rows mod D, so a short
+    # matrix is padded with them) leave both alone
     D = int(annihilator)
     if D < 1:
         raise ValueError("annihilator must be a positive integer")
     A = [[_balanced(int(x), D) for x in row] for row in m]
-    nrows = len(A)
     ncols = len(A[0]) if A else 0
     if any(len(r) != ncols for r in A):
         raise ValueError("matrix must be rectangular")
+    A += [[0] * ncols for _ in range(ncols - len(A))]
+    nrows = len(A)
     V = W = None
     if track:
         V = [[_balanced(x, D) for x in row] for row in identity(ncols)]
         W = [row[:] for row in V]
     out: list[int] = []
     for k in range(ncols):
-        exhausted = False
         while True:
-            piv, best = None, None
-            for i in range(k, nrows):
-                row = A[i]
-                for j in range(k, ncols):
-                    v = abs(row[j])
-                    if v and (best is None or v < best):
-                        piv, best = (i, j), v
-            if piv is None:
-                exhausted = True  # only the implicit D rows remain
-                break
-            i0, j0 = piv
-            if i0 != k:
-                A[k], A[i0] = A[i0], A[k]
-            if j0 != k:
-                for row in A:
-                    row[k], row[j0] = row[j0], row[k]
-                if track:
-                    for row in V:
-                        row[k], row[j0] = row[j0], row[k]
-                    W[k], W[j0] = W[j0], W[k]
-            if A[k][k] < 0:
-                A[k] = [-x for x in A[k]]
-            pivot = A[k][k]
-            dirty = False
             for i in range(k + 1, nrows):
-                if A[i][k]:
-                    q = A[i][k] // pivot
-                    if q:
-                        row_i, row_k = A[i], A[k]
-                        for j in range(k, ncols):
-                            row_i[j] = _balanced(row_i[j] - q * row_k[j], D)
-                    if A[i][k]:
-                        dirty = True
+                b = A[i][k]
+                if b:
+                    a = A[k][k]
+                    g, s, t = _xgcd(a, b)
+                    u, v = -b // g, a // g
+                    rk, ri = A[k][k:], A[i][k:]
+                    A[k][k:] = [_balanced(s * x + t * y, D) for x, y in zip(rk, ri)]
+                    A[i][k:] = [_balanced(u * x + v * y, D) for x, y in zip(rk, ri)]
             for j in range(k + 1, ncols):
-                if A[k][j]:
-                    q = A[k][j] // pivot
-                    if q:
-                        for row in A:
-                            row[j] = _balanced(row[j] - q * row[k], D)
-                        if track:
-                            for row in V:
-                                row[j] = _balanced(row[j] - q * row[k], D)
-                            row_k, row_j = W[k], W[j]
-                            for i in range(ncols):
-                                row_k[i] = _balanced(row_k[i] + q * row_j[i], D)
-                    if A[k][j]:
-                        dirty = True
-            if dirty:
+                b = A[k][j]
+                if b:
+                    a = A[k][k]
+                    g, s, t = _xgcd(a, b)
+                    u, v = -b // g, a // g
+                    for row in A[k:] + V if track else A[k:]:
+                        x, y = row[k], row[j]
+                        row[k] = _balanced(s * x + t * y, D)
+                        row[j] = _balanced(u * x + v * y, D)
+                    if track:
+                        wk, wj = W[k], W[j]
+                        W[k] = [_balanced(v * x - u * y, D) for x, y in zip(wk, wj)]
+                        W[j] = [_balanced(s * y - t * x, D) for x, y in zip(wk, wj)]
+            if any(A[i][k] for i in range(k + 1, nrows)):
                 continue
-            g = gcd(pivot, D)
-            offender = None
-            for i in range(k + 1, nrows):
-                row = A[i]
-                for j in range(k + 1, ncols):
-                    if row[j] % g:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            g = gcd(A[k][k], D)
+            offender = next(
+                (i for i in range(k + 1, nrows) if any(x % g for x in A[i][k + 1 :])), None
+            )
             if offender is None:
-                A[k][k] = g
                 break
-            row_k, row_o = A[k], A[offender]
-            for j in range(k, ncols):
-                row_k[j] = _balanced(row_k[j] + row_o[j], D)
-        if exhausted:
-            out.extend([D] * (ncols - k))
-            break
-        out.append(A[k][k])
+            A[k] = [_balanced(x + y, D) for x, y in zip(A[k], A[offender])]
+        out.append(g)
     return out, V, W
 
 

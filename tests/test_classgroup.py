@@ -22,6 +22,7 @@ from modunits.classgroup import (
     primary_notation,
     structure,
 )
+from modunits.corpus import mixed_primary_rows
 from modunits.numtheory import euler_phi, factorize, order_in_units_mod_pm1
 from modunits.siegel import LevelContext, normalize_index
 from modunits.zlinalg import det, hnf_pivots, lattice_index, mat_mul, snf
@@ -156,7 +157,7 @@ def test_group_structure_type():
 
 
 def test_generators_orders_and_membership():
-    for N in (13, 27, 32, 36, 42, 59):
+    for N in (13, 27, 32, 36, 42, 59, 97):
         gens = generators(N)
         orders = sorted(d for _, d in gens)
         assert orders == sorted(structure(N).invariants)
@@ -286,6 +287,10 @@ def test_p_primary_examples():
     assert primary_notation(p_primary(32, 2), 2) == "(2)(2^2)(2^3)"
     assert primary_notation({}, 3) == "(1)"
     assert primary_notation({2: 5, 4: 1}, 3) == "(3^2)^5(3^4)"
+    # unchecked, p = 1 would loop forever, 0 divide by zero and 4 give {}
+    for N, p in ((13, 0), (13, 1), (13, 4), (16, 4)):
+        with pytest.raises(ValueError):
+            p_primary(N, p)
 
 
 def test_predicted_formulas_spot_values():
@@ -328,3 +333,38 @@ def test_p_primary_reconstructs_invariants():
             for k, v in enumerate(reversed(expanded)):
                 acc[len(acc) - 1 - k] *= v
         assert tuple(acc) == st.invariants
+
+
+# mixed reference rows up to level 768 that the acceptance criteria do not compute
+@pytest.mark.parametrize(
+    "key",
+    ["2*7", "2*3^2", "3*2^3", "6*5", "4*3^2", "6*7", "2*5^2", "3*2^5", "2*7^2",
+     "2*3^4", "3*2^6", "2*5^3", "6*7^2", "4*3^4", "3*2^7", "2*3^5", "6*5^3"]
+    + [pytest.param(key, marks=pytest.mark.extended) for key in ("2*7^3", "3*2^8")],
+)
+def test_mixed_primary_rows(key):
+    row = mixed_primary_rows()[key]
+    assert p_primary(row.level, row.p) == row.parts_dict()
+
+
+def _valuation(n, p):
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+@pytest.mark.extended
+def test_level_972_three_part_contradicts_reference_row():
+    # the reference row "4*3^5" lists (3^6)^6 where every route here gives
+    # (3^6)^4: its 3-exponents sum to 164, above v_3(h) = 152, so the row
+    # cannot describe a group of order h and is taken as a table error
+    parts = p_primary(972, 3)
+    assert parts == {2: 36, 4: 12, 6: 4, 8: 1}
+    v3 = sum(e * m for e, m in parts.items())
+    assert v3 == 152 == _valuation(class_number_yu(972), 3)
+    assert _valuation(class_number_lattice(972), 3) == 152
+    row = mixed_primary_rows()["4*3^5"]
+    assert row.level == 972
+    assert sum(e * m for e, m in row.parts_dict().items()) == 164 > v3

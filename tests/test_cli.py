@@ -143,6 +143,11 @@ def test_invalid_level_exit_code(capsys):
     code, _, err = run_cli(capsys, "classnum", "4")
     assert code == 2
     assert "error" in err
+    for argv in (("conjecture", "4", "2"), ("primary", "32", "4")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "4 is not prime" in err
 
 
 def test_cache_round_trip(tmp_path, capsys):

@@ -140,6 +140,20 @@ def test_snf_against_minor_gcd_oracle():
 
 
 def test_snf_bounded_matches_plain():
+    cases = [
+        ([[0, 1], [1, 0]], 1),  # zero top-left pivot
+        ([[0, 1], [1, 0]], 4),
+        ([[0, 2], [3, 0]], 6),
+        ([[-4, 2], [4, 3]], 20),  # the column step refills the pivot column
+        ([[2, 0], [0, 3]], 6),  # gcd(2, 6) misses the 3: the offender row is needed
+        ([[1, 0], [0, 6]], 6),  # remainder is 0 mod D
+        ([[1, 0], [0, 6]], 12),
+        ([[200, 198], [303, 300]], 6),  # entries larger than D
+        ([[100, 97], [103, 100]], 9),
+    ]
+    for m, D in cases:
+        assert smith_invariants_bounded(m, D) == smith_invariants(m), (m, D)
+        assert smith_transforms_bounded(m, D)[0] == smith_invariants(m), (m, D)
     rng = random.Random(19)
     for _ in range(100):
         n = rng.randrange(1, 6)
@@ -157,14 +171,16 @@ def nonsingular_with_annihilator(draw):
     m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
     d = abs(det_int(m))
     assume(d)
-    return m, d * draw(st.integers(1, 4))
+    # an extra row keeps d an annihilator and makes the matrix tall
+    extra = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=1))
+    return m + extra, d * draw(st.integers(1, 4))
 
 
 @settings(max_examples=150, deadline=None)
 @given(nonsingular_with_annihilator())
 def test_smith_transforms_bounded_properties(case):
     m, D = case
-    n = len(m)
+    n = len(m[0])
     inv, V, W = smith_transforms_bounded(m, D)
     assert inv == smith_invariants(m)
     VW = mat_mul(V, W)
