@@ -7,6 +7,7 @@ determinant.  Their exact agreement for every level is the system's
 primary self-check.
 """
 
+import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -16,7 +17,13 @@ from .bernoulli import nonprincipal_quarter_product, yu_prefactor
 from .errors import ConsistencyError
 from .numtheory import is_prime
 from .siegel import LevelContext, divisor, is_gamma1_modular, orbit_condition_holds
-from .zlinalg import lattice_index, mat_mul, smith_invariants_bounded, smith_transforms_bounded
+from .zlinalg import (
+    det_solve,
+    mat_mul,
+    smith_invariants_bounded,
+    smith_invariants_local,
+    smith_transforms_bounded,
+)
 
 __all__ = [
     "ConsistencyError",
@@ -94,8 +101,7 @@ class ClassGroupReport:
         return generators(self.N, self.generator)
 
 
-def _divisor_rows(N: int, generator: int | None) -> tuple[tuple[BasisElement, ...], list[list[int]]]:
-    elements = tuple(basis(N, generator))
+def _divisor_rows(N: int, elements: tuple[BasisElement, ...]) -> list[list[int]]:
     composite = not is_prime(N)
     rows = []
     for el in elements:
@@ -109,7 +115,7 @@ def _divisor_rows(N: int, generator: int | None) -> tuple[tuple[BasisElement, ..
         if div.degree != 0:
             raise ConsistencyError(f"{el.display} has divisor of nonzero degree at N={N}")
         rows.append([int(x) for x in div.orders])
-    return elements, rows
+    return rows
 
 
 def divisor_matrix(N: int, generator: int | None = None) -> list[list[int]]:
@@ -146,19 +152,33 @@ def analyze(N: int, generator: int | None = None) -> ClassGroupReport:
     return _analyze(N, generator)
 
 
+def _solve_column(n: int) -> list[int]:
+    # a fixed seed makes every run of a level take the same path; an unlucky
+    # column only sends more primes to the local step, never a wrong answer
+    rng = random.Random(n)
+    return [rng.randrange(-(1 << 15), 1 << 15) for _ in range(n)]
+
+
 @lru_cache(maxsize=None)
 def _analyze(N: int, generator: int | None) -> ClassGroupReport:
     if N < 5:
         raise ValueError(f"analyze requires N >= 5, got {N}")
     timings = []
     t0 = time.perf_counter()
-    elements, rows = _divisor_rows(N, generator)
-    timings.append(("basis+divisors", time.perf_counter() - t0))
+    elements = tuple(basis(N, generator))
+    timings.append(("basis", time.perf_counter() - t0))
 
-    n = LevelContext.of(N).num_cusps
     t0 = time.perf_counter()
-    h_lat = lattice_index(rows, size=n)
-    timings.append(("lattice", time.perf_counter() - t0))
+    rows = _divisor_rows(N, elements)
+    timings.append(("divisors", time.perf_counter() - t0))
+
+    # the partial-sum coordinates of the rows form a square matrix whose
+    # |det| is the lattice index; the same elimination solves one system
+    t0 = time.perf_counter()
+    coords = _partial_sum_coords(rows)
+    det, y = det_solve(coords, _solve_column(len(coords))) if coords else (1, [])
+    timings.append(("det_solve", time.perf_counter() - t0))
+    h_lat = abs(det)
     if h_lat == 0:
         raise DegenerateRankError(f"basis divisors at N={N} are linearly dependent")
 
@@ -169,14 +189,14 @@ def _analyze(N: int, generator: int | None) -> ClassGroupReport:
         raise ConsistencyError(f"N={N}: lattice index {h_lat} != analytic class number {h_yu}")
 
     t0 = time.perf_counter()
-    if rows:
+    invariants = smith_invariants_local(coords, det, y) if coords else []
+    stage = "local_smith"
+    if invariants is None:
         # the class number annihilates the quotient, so the Smith reduction
         # can balance all entries mod h_yu
-        coords = _partial_sum_coords(rows)
         invariants = [d for d in smith_invariants_bounded(coords, h_yu) if d != 1]
-    else:
-        invariants = []
-    timings.append(("smith", time.perf_counter() - t0))
+        stage = "smith_mod_h"
+    timings.append((stage, time.perf_counter() - t0))
     st = GroupStructure(tuple(invariants))
     if st.order != h_yu:
         raise ConsistencyError(f"N={N}: group order {st.order} != class number {h_yu}")

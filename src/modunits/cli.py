@@ -7,7 +7,9 @@ levels; table refuses --generator with exit code 2.  Results can be cached
 as JSON files keyed by (N, generator, tool version, CACHE_REVISION); the
 default cache directory comes from MODUNITS_CACHE_DIR.  A cached record
 that does not match its key or whose invariants do not multiply to its
-class number is recomputed and overwritten.
+class number is recomputed and overwritten.  Each level record printed
+says "cache": "hit" (loaded, with the timings of the run that stored it)
+or "miss" (computed by this run); the label is not stored.
 
 Exit codes: 0 success, 2 invalid arguments, 3 internal consistency failure
 or reference-table mismatch.
@@ -38,7 +40,7 @@ from .siegel import genus_x1
 CACHE_ENV = "MODUNITS_CACHE_DIR"
 #: algorithm revision in the cache file name; bump it whenever a change to
 #: the pipeline can change a record, since __version__ does not move then
-CACHE_REVISION = 2
+CACHE_REVISION = 3
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -138,11 +140,15 @@ class Cache:
 
 
 def cached_record(N: int, generator: int | None, cache: Cache) -> dict:
+    """The record for (N, generator), labelled "cache": "hit" when it was
+    loaded (its timings are those of the run that stored it) or "miss" when
+    it was computed now.  The label is never stored."""
     rec = cache.load(N, generator)
-    if rec is None:
-        rec = build_record(N, generator)
-        cache.store(N, generator, rec)
-    return rec
+    if rec is not None:
+        return dict(rec, cache="hit")
+    rec = build_record(N, generator)
+    cache.store(N, generator, rec)
+    return dict(rec, cache="miss")
 
 
 def _emit(args, record, text: str) -> None:
@@ -238,7 +244,7 @@ def cmd_table(args, cache: Cache) -> int:
     for N in levels:
         rec = cache.load(N, None)
         if rec is not None:
-            records[N] = rec
+            records[N] = dict(rec, cache="hit")
     missing = [N for N in levels if N not in records]
     if args.jobs > 1 and len(missing) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -249,6 +255,7 @@ def cmd_table(args, cache: Cache) -> int:
             records[N] = build_record(N)
     for N in missing:
         cache.store(N, None, records[N])
+        records[N] = dict(records[N], cache="miss")
 
     if args.json:
         print(json.dumps([records[N] for N in levels], sort_keys=True))

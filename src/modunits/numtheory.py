@@ -11,10 +11,46 @@ from math import gcd, isqrt
 _ONE_SIXTH = Fraction(1, 6)
 
 
+def trial_factor(n: int, bound: int | None = None) -> tuple[list[tuple[int, int]], int]:
+    """Trial division of n >= 1 by 2 and the odd numbers up to `bound`.
+
+    Returns ([(p, e), ...], c) with primes ascending and c * prod(p**e) == n.
+    The cofactor c is 1 when n factors completely; otherwise c has no prime
+    factor up to `bound` and is above bound**2, so it may be composite.
+    Without a bound the division runs to sqrt(n) and c is always 1.
+
+    >>> trial_factor(2**5 * 3 * 1000003, bound=100)
+    ([(2, 5), (3, 1)], 1000003)
+    >>> trial_factor(2**5 * 3 * 101, bound=100)
+    ([(2, 5), (3, 1), (101, 1)], 1)
+    """
+    if n < 1:
+        raise ValueError(f"trial_factor requires n >= 1, got {n}")
+    out = []
+    m = n
+    p = 2
+    while p * p <= m and (bound is None or p <= bound):
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if m > 1 and p * p > m:
+        out.append((m, 1))
+        m = 1
+    return out, m
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Factor n >= 2 by trial division.
 
-    Returns [(p, e), ...] with primes ascending and prod(p**e) == n.
+    Returns [(p, e), ...] with primes ascending and prod(p**e) == n.  The
+    divisions run up to the square root of the second-largest prime factor
+    of n: about 2**25 of them, a minute or more, when that factor is near
+    2**50, so an n with two large prime factors does not finish in
+    practice.  `trial_factor` with a bound returns such a part unfactored.
 
     >>> factorize(42)
     [(2, 1), (3, 1), (7, 1)]
@@ -23,20 +59,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return out
+    return trial_factor(n)[0]
 
 
 def is_prime(n: int) -> bool:

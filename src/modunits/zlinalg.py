@@ -1,19 +1,28 @@
 """Exact linear algebra over ZZ and QQ.
 
 Dense row-major matrices are plain lists of lists.  Determinants use
-fraction-free (Bareiss) elimination.  The class-group pipeline runs one
-Smith reduction, with entries balanced mod an annihilator D and optional
-column transforms mod D (`smith_invariants_bounded`,
-`smith_transforms_bounded`); it clears each entry of a pivot column or row
-with one 2x2 unimodular Bezout step.  The unbounded Hermite and Smith
-normal forms (`hnf`, `snf_with_transforms`) use integer row/column
-reduction with smallest-pivot selection and serve as reference routines
-for the tests.
+fraction-free (Bareiss) elimination; `det_solve` runs the same elimination
+on the matrix extended by one column b and also returns adj(m)*b.  The
+class-group pipeline finds Smith invariants from that solve
+(`smith_invariants_local`): the denominator s of m^{-1} b divides the
+largest invariant, every prime of |det| that misses |det|/s has a cyclic
+part, and each prime of |det|/s gets its exponents from an elimination over
+Z/p^K (`local_smith_exponents`).  When |det|/s does not factor by bounded
+trial division, the caller falls back to the Smith reduction with entries
+balanced mod an annihilator D (`smith_invariants_bounded`), which also
+tracks column transforms mod D for generators (`smith_transforms_bounded`);
+it clears each entry of a pivot column or row with one 2x2 unimodular Bezout
+step.  The unbounded Hermite and Smith normal forms (`hnf`,
+`snf_with_transforms`) use integer row/column reduction with
+smallest-pivot selection and serve as reference routines for the tests.
 All results are exact.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from .errors import ConsistencyError
+from .numtheory import trial_factor
 
 IntMatrix = list[list[int]]
 RatMatrix = list[list[Fraction]]
@@ -38,12 +47,15 @@ def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def det_int(m) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    a = _copy_int(m)
+def _bareiss(a: IntMatrix) -> int:
+    """Fraction-free forward elimination of the n x m matrix a (m >= n), in
+    place; returns the determinant of its leading n x n block.
+
+    Rows may be swapped.  On a nonzero return a is upper triangular in its
+    leading block, row i is a rational combination of the input rows, and
+    a[i][i] is the leading (i+1) x (i+1) minor of the row-swapped input.
+    """
     n = len(a)
-    if len(a[0]) != n:
-        raise ValueError("determinant requires a square matrix")
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -59,11 +71,51 @@ def det_int(m) -> int:
         for i in range(k + 1, n):
             aik = a[i][k]
             row_i, row_k = a[i], a[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(row_i)):
                 row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def det_int(m) -> int:
+    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    a = _copy_int(m)
+    if len(a[0]) != len(a):
+        raise ValueError("determinant requires a square matrix")
+    return _bareiss(a)
+
+
+def det_solve(m, b) -> tuple[int, list[int] | None]:
+    """(det m, adj(m)*b) for a square integer matrix m and an integer column
+    b, from one Bareiss elimination of [m | b]; the second item is None when
+    det m == 0.
+
+    adj(m)*b = det(m) * m^{-1} b, found by fraction-free back substitution.
+
+    >>> det_solve([[2, 0], [0, 3]], [1, 1])
+    (6, [3, 2])
+    """
+    if len(b) != len(m):
+        raise ValueError("det_solve requires a column as long as the matrix")
+    a = _copy_int([list(row) + [x] for row, x in zip(m, b)])
+    n = len(a)
+    if len(a[0]) != n + 1:
+        raise ValueError("det_solve requires a square matrix")
+    d = _bareiss(a)
+    if d == 0:
+        return 0, None
+    # the eliminated rows say sum_j a[i][j] x_j = a[i][n]; with y = d' x for
+    # d' = a[n-1][n-1] = +-d every division below is exact (Cramer)
+    top = a[n - 1][n - 1]
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = top * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
+        y[i] = acc // row[i]
+    if top != d:
+        y = [-x for x in y]
+    return d, y
 
 
 def det(m) -> Fraction:
@@ -345,6 +397,92 @@ def _smith_mod(m, annihilator: int, track: bool):
             A[k] = [_balanced(x + y, D) for x, y in zip(A[k], A[offender])]
         out.append(g)
     return out, V, W
+
+
+#: trial-division bound for |det| / s in `smith_invariants_local`
+TRIAL_BOUND = 1 << 16
+
+
+def local_smith_exponents(m, p: int, K: int) -> list[int]:
+    """Exponents of the Smith form of a square integer matrix over Z/p^K,
+    one per column, ascending; an invariant that vanishes mod p^K counts
+    as K.
+
+    Over the local ring an entry of least valuation divides every other
+    entry, so one pass per pivot is enough: clear its column with row
+    steps, then drop its row and column (the column steps that would clear
+    its row change nothing else).
+
+    >>> local_smith_exponents([[4, 0], [0, 6]], 2, 4)
+    [1, 2]
+    """
+    q = p**K
+    rows = [[x % q for x in row] for row in _copy_int(m)]
+    if len(rows[0]) != len(rows):
+        raise ValueError("local_smith_exponents requires a square matrix")
+    out: list[int] = []
+    v, pv = 0, 1  # every remaining entry is 0 mod pv = p^v
+    while rows:
+        step = pv * p
+        hit = next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x % step), None)
+        if hit is None:
+            if v + 1 < K:
+                v, pv = v + 1, step
+                continue
+            out += [K] * len(rows)
+            break
+        i, j = hit
+        prow = rows.pop(i)
+        inv = pow(prow[j] // pv, -1, q)
+        for row in rows:
+            if row[j]:
+                f = row[j] // pv * inv % q
+                row[:] = [(x - f * y) % q for x, y in zip(row, prow)]
+            del row[j]
+        out.append(v)
+    return out
+
+
+def smith_invariants_local(m, det: int, y: list[int]) -> list[int] | None:
+    """Nontrivial Smith invariants, ascending, of a nonsingular square
+    integer matrix m, given det = det(m) and y = adj(m)*b for some column b.
+
+    s = |det| / gcd(det, y) is the denominator of m^{-1} b, so it divides the
+    largest invariant (Eberly-Giesbrecht-Villard); a random b makes it equal
+    with high probability.  A prime of |det| that does not divide |det|/s
+    therefore has a cyclic part, which goes whole into the largest
+    invariant.  Each prime p of |det|/s gets its exponents from
+    `local_smith_exponents` mod p^(v_p(det)+1), and the parts are joined by
+    CRT.  An unlucky b only adds primes to |det|/s.  Returns None when
+    |det|/s keeps a part with no prime factor up to `TRIAL_BOUND`.
+
+    >>> smith_invariants_local([[2, 0], [0, 6]], 12, [6, 2])
+    [2, 6]
+    """
+    h = abs(det)
+    s = h // gcd(h, *y)
+    factors, rest = trial_factor(h // s, TRIAL_BOUND)
+    if rest > 1:
+        return None
+    cyclic = h
+    parts = []
+    for p, _ in factors:
+        e = 0
+        while cyclic % p == 0:
+            cyclic //= p
+            e += 1
+        exps = [x for x in local_smith_exponents(m, p, e + 1) if x]
+        if sum(exps) != e:
+            raise ConsistencyError(f"local Smith exponents at p={p} sum to {sum(exps)}, not v_p(det) = {e}")
+        parts.append((p, exps))
+    rank = max([len(exps) for _, exps in parts] + [int(cyclic > 1)])
+    out = [1] * rank
+    if rank:
+        out[-1] = cyclic
+    for p, exps in parts:
+        for k, e in enumerate(reversed(exps)):
+            out[rank - 1 - k] *= p**e
+    return out
 
 
 def lattice_index(rows, size: int | None = None) -> int:

@@ -4,6 +4,7 @@ from math import gcd, lcm
 
 import pytest
 
+from modunits import classgroup, zlinalg
 from modunits.bernoulli import bernoulli_matrix
 from modunits.classgroup import (
     ConjectureReport,
@@ -65,6 +66,28 @@ def test_analyze_one_cache_entry_per_level():
     assert analyze(13, None) is report
     assert analyze(13, generator=None) is report
     assert analyze(13, 7) is not report
+
+
+def test_analyze_stage_names():
+    stages = ("basis", "divisors", "det_solve", "analytic", "local_smith")
+    for N in (13, 36, 72):
+        timings = analyze(N).timings
+        assert tuple(name for name, _ in timings) == stages
+        assert all(t >= 0 for _, t in timings)
+
+
+def test_analyze_falls_back_to_smith_mod_h(monkeypatch):
+    # with no trial division the 2- and 3-parts of h/s at N = 72 stay
+    # unfactored, so the level takes the reduction mod h
+    expected = structure(72)
+    monkeypatch.setattr(zlinalg, "TRIAL_BOUND", 0)
+    classgroup._analyze.cache_clear()
+    try:
+        report = analyze(72)
+        assert [name for name, _ in report.timings][-1] == "smith_mod_h"
+        assert report.structure == expected
+    finally:
+        classgroup._analyze.cache_clear()
 
 
 def test_divisor_matrix_36_verbatim():
@@ -340,7 +363,10 @@ def test_p_primary_reconstructs_invariants():
     "key",
     ["2*7", "2*3^2", "3*2^3", "6*5", "4*3^2", "6*7", "2*5^2", "3*2^5", "2*7^2",
      "2*3^4", "3*2^6", "2*5^3", "6*7^2", "4*3^4", "3*2^7", "2*3^5", "6*5^3"]
-    + [pytest.param(key, marks=pytest.mark.extended) for key in ("2*7^3", "3*2^8")],
+    + [
+        pytest.param(key, marks=pytest.mark.extended)
+        for key in ("2*7^3", "3*2^8", "2*5^4", "2*3^6", "3*2^9", "6*7^3")
+    ],
 )
 def test_mixed_primary_rows(key):
     row = mixed_primary_rows()[key]

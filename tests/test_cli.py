@@ -158,8 +158,30 @@ def test_cache_round_trip(tmp_path, capsys):
         assert code == 0
         code, second, _ = run_cli(capsys, "classnum", str(N), "--json", "--cache-dir", str(tmp_path))
         assert code == 0
+        first, second = json.loads(first), json.loads(second)
+        assert (first.pop("cache"), second.pop("cache")) == ("miss", "hit")
         assert first == second
     assert len(list(tmp_path.iterdir())) == len(set(levels))
+
+
+def test_records_say_cache_hit_or_miss(tmp_path, capsys):
+    def structure_json(*extra):
+        code, out, _ = run_cli(capsys, "structure", "36", "--json", *extra)
+        assert code == 0
+        return json.loads(out)
+
+    assert structure_json("--no-cache")["cache"] == "miss"
+    miss = structure_json("--cache-dir", str(tmp_path))
+    hit = structure_json("--cache-dir", str(tmp_path))
+    assert (miss["cache"], hit["cache"]) == ("miss", "hit")
+    # a hit replays the stored timings; the label itself is never stored
+    assert hit["timings"] == miss["timings"]
+    (path,) = tmp_path.iterdir()
+    assert "cache" not in json.loads(path.read_text())
+    code, out, _ = run_cli(capsys, "table", "35..37", "--json", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert [rec["cache"] for rec in json.loads(out)] == ["miss", "hit", "miss"]
+    assert all("cache" not in json.loads(f.read_text()) for f in tmp_path.iterdir())
 
 
 def test_cache_never_serves_a_wrong_or_corrupt_record(tmp_path, capsys):

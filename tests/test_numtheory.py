@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -17,6 +18,7 @@ from modunits.numtheory import (
     order_in_units_mod_pm1,
     primitive_root,
     radical,
+    trial_factor,
 )
 
 
@@ -41,6 +43,21 @@ def test_factorize_reconstructs():
             assert is_prime(p)
             prod *= p**e
         assert prod == n
+
+
+def test_trial_factor_bound():
+    assert trial_factor(1) == ([], 1)
+    assert trial_factor(180, bound=3) == ([(2, 2), (3, 2), (5, 1)], 1)  # 5 < 5**2
+    assert trial_factor(4 * 9 * 49, bound=3) == ([(2, 2), (3, 2)], 49)
+    assert trial_factor(2**5 * 101, bound=100) == ([(2, 5), (101, 1)], 1)
+    # two primes near 2**60 have no factor below the bound: one cofactor back,
+    # where unbounded trial division would run for hours
+    p, q = 2**60 - 93, 2**60 - 107
+    t0 = time.perf_counter()
+    assert trial_factor(12 * p * q, bound=1 << 16) == ([(2, 2), (3, 1)], p * q)
+    assert time.perf_counter() - t0 < 1.0
+    for n in (97, 2 * 3 * 5 * 7 * 11, 3**9 * 65537):
+        assert trial_factor(n)[0] == factorize(n)
 
 
 def test_phi_moebius_inv():

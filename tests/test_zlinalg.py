@@ -7,16 +7,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from modunits.errors import ConsistencyError
+from modunits.numtheory import trial_factor
 from modunits.zlinalg import (
+    TRIAL_BOUND,
     det,
     det_int,
+    det_solve,
     hnf,
     hnf_pivots,
     identity,
     lattice_index,
+    local_smith_exponents,
     mat_mul,
     smith_invariants,
     smith_invariants_bounded,
+    smith_invariants_local,
     smith_transforms_bounded,
     snf,
     snf_with_transforms,
@@ -188,6 +194,98 @@ def test_smith_transforms_bounded_properties(case):
     for row in mat_mul(m, V):
         assert all(x % d == 0 for x, d in zip(row, inv))
     assert all(2 * abs(x) <= D for t in (V, W) for row in t for x in row)
+
+
+def test_det_solve_is_adjugate_times_column():
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randrange(1, 6)
+        m = _random_matrix(rng, n, n)
+        b = [rng.randrange(-50, 51) for _ in range(n)]
+        d, y = det_solve(m, b)
+        assert d == det_int(m)
+        if d == 0:
+            assert y is None
+        else:
+            assert [sum(x * v for x, v in zip(row, y)) for row in m] == [d * x for x in b]
+    with pytest.raises(ValueError):
+        det_solve([[1, 2]], [1])
+    with pytest.raises(ValueError):
+        det_solve([[1, 0], [0, 1]], [1])
+
+
+def _local_route(m, b):
+    d, y = det_solve(m, b)
+    return smith_invariants_local(m, d, y)
+
+
+@st.composite
+def nonsingular_with_column(draw):
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-1000, 1000)
+    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    # small row factors make non-cyclic groups, which send primes to the local step
+    scale = draw(st.lists(st.sampled_from([1, 1, 2, 3, 4, 6, 9, 12]), min_size=n, max_size=n))
+    m = [[c * x for x in row] for c, row in zip(scale, m)]
+    assume(det_int(m))
+    return m, draw(st.lists(entry, min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonsingular_with_column())
+def test_smith_invariants_local_matches_reference(case):
+    m, b = case
+    d, y = det_solve(m, b)
+    got = smith_invariants_local(m, d, y)
+    if got is None:
+        h = abs(d)
+        assert trial_factor(h // (h // gcd(h, *y)), TRIAL_BOUND)[1] > 1
+    else:
+        assert got == snf(m)
+
+
+def test_smith_invariants_local_zero_column_sends_every_prime_local():
+    # b = 0 gives y = 0 and s = 1, so every prime of det goes to the local step
+    rng = random.Random(37)
+    cases = [[[4, 0, 0], [0, 6, 0], [0, 0, 9]], [[2, 4], [6, 8]]]
+    cases += [_random_matrix(rng, 4, 4) for _ in range(30)]
+    for m in cases:
+        if det_int(m):
+            assert _local_route(m, [0] * len(m)) == snf(m), m
+
+
+def test_smith_invariants_local_two_primes_of_high_valuation():
+    # diag(2^10 3^7, 2^5 3^9, 2^3) hidden by unimodular row and column steps
+    m = [[2**10 * 3**7, 0, 0], [0, 2**5 * 3**9, 0], [0, 0, 2**3]]
+    rng = random.Random(41)
+    for _ in range(12):
+        i, j = rng.sample(range(3), 2)
+        c = rng.choice((-3, -1, 1, 2))
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        i, j = rng.sample(range(3), 2)
+        for row in m:
+            row[i] += c * row[j]
+    assert snf(m) == [2**3, 2**5 * 3**7, 2**10 * 3**9]
+    assert _local_route(m, [1, -2, 5]) == snf(m)
+    assert _local_route(m, [0, 0, 0]) == snf(m)
+    assert local_smith_exponents(m, 3, 17) == [0, 7, 9]
+    # precision below the largest exponent: the invariant vanishes and counts as K
+    assert local_smith_exponents(m, 2, 6) == [3, 5, 6]
+
+
+def test_smith_invariants_local_falls_back_above_trial_bound():
+    q = 2**61 - 1  # prime, above TRIAL_BOUND**2
+    m = [[q, 0], [0, q]]
+    assert _local_route(m, [1, 1]) is None
+    assert smith_invariants_bounded(m, q * q) == [q, q]
+    # a cofactor that trial division can still prove prime goes local
+    assert _local_route([[65537, 0], [0, 65537]], [1, 1]) == [65537, 65537]
+
+
+def test_smith_invariants_local_checks_exponent_sum():
+    # a wrong determinant: the local exponents at 2 sum to 2, not v_2(8) = 3
+    with pytest.raises(ConsistencyError):
+        smith_invariants_local([[2, 0], [0, 2]], 8, [0, 0])
 
 
 def test_hnf_snf_pivot_products_agree():
