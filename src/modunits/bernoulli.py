@@ -1,10 +1,15 @@
 """Generalized Bernoulli numbers for the class-number pipeline.
 
-The exact route never touches cyclotomic arithmetic: the product of
-(1/4)*B_{2,chi} over all even characters mod N equals (up to sign) the
-determinant of the Bernoulli matrix, whose entries are integers over 12N,
-so it is computed fraction-free.  Dirichlet characters are enumerated via
-CRT generators and used only as a floating-point cross-check.
+The Bernoulli matrix is the group matrix f(a * b^-1) of G = (Z/NZ)^x/+-1
+with f(g) = (N/2) * B2(g/N), so its determinant is the group determinant:
+the product over the even characters chi mod N of (1/4) * B_{2,chi}.  The
+analytic class number needs that product without the principal character.
+`nonprincipal_quarter_product` takes it one Galois orbit of characters at a
+time, as the norm from Q(zeta_d) of an integer polynomial in zeta_d, that
+is as a small integer determinant over Z[x]/Phi_d.  The whole matrix's
+fraction-free determinant `bernoulli_matrix_det` stays as the reference.
+Characters as objects (`DirichletCharacter`) serve only the floating-point
+cross-checks.
 """
 
 import cmath
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ConsistencyError
 from .numtheory import (
@@ -22,6 +27,7 @@ from .numtheory import (
     euler_phi,
     factorize,
     inv_mod,
+    moebius,
     order_in_units_mod_pm1,
     primitive_root,
     unit_lead_key,
@@ -82,12 +88,125 @@ def b2_chi0(N: int) -> Fraction:
     return Fraction(sum(keys), 6 * N)
 
 
+def cyclotomic(d: int) -> tuple[int, ...]:
+    """Coefficients of the d-th cyclotomic polynomial, constant term first.
+
+    Phi_d = prod over e | d of (x^(d/e) - 1)^mu(e): multiply by the factors
+    with mu = +1, then divide exactly by those with mu = -1.
+
+    >>> cyclotomic(6)
+    (1, -1, 1)
+    """
+    if d < 1:
+        raise ValueError(f"cyclotomic requires d >= 1, got {d}")
+    factors = [(d // e, moebius(e)) for e in divisors(d) if moebius(e)]
+    c = [1] + [0] * d
+    for k, mu in factors:
+        if mu == 1:  # c * (x^k - 1)
+            c = [(c[i - k] if i >= k else 0) - c[i] for i in range(len(c))]
+    for k, mu in factors:
+        if mu == -1:  # c / (x^k - 1): c[i] = q[i-k] - q[i]
+            q = [0] * len(c)
+            for i in range(len(c)):
+                q[i] = (q[i - k] if i >= k else 0) - c[i]
+            c = q
+    return tuple(c[: euler_phi(d) + 1])
+
+
+def _orbit_norm(coeffs: list[int], d: int) -> int:
+    """Res(Phi_d, C) for C = sum coeffs[i] x^i: the product of C(zeta) over
+    the primitive d-th roots of unity zeta.
+
+    It is the determinant of multiplication by C on Z[x]/Phi_d, whose rows
+    are x^i * C reduced mod the monic Phi_d, for i < phi(d).  Phi_d is
+    irreducible, so the norm is 0 exactly when C reduces to 0, which
+    B_{2,chi} != 0 for even chi rules out.
+    """
+    phi = cyclotomic(d)
+    m = len(phi) - 1
+    row = list(coeffs)
+    for i in range(len(row) - 1, m - 1, -1):
+        t = row[i]
+        if t:
+            for j in range(m):
+                row[i - m + j] -= t * phi[j]
+    # the content g leaves the matrix entries about half as many bits at
+    # large levels: Res(Phi_d, C) = g^phi(d) * Res(Phi_d, C/g)
+    g = gcd(*row[:m])
+    if g == 0:
+        raise ConsistencyError(f"order-{d} character orbit has norm 0: C = 0 mod Phi_{d}")
+    row = [x // g for x in row[:m]]
+    rows = []
+    for _ in range(m):
+        rows.append(row)
+        t = row[-1]
+        row = [0] + row[:-1]
+        if t:
+            row = [r - t * c for r, c in zip(row, phi)]
+    return g**m * det_int(rows)
+
+
+def _even_character_orbits(N: int) -> list[tuple[int, list[int]]]:
+    """One (d, [e(a) for a in the cusps]) per Galois orbit of the even
+    non-principal characters chi mod N, where chi has order d and
+    chi(a) = zeta_d^e(a).
+
+    A character is an exponent vector on the CRT generators of
+    `_local_group`, whose discrete logs give chi(a) = zeta_L^s(a) with L
+    the exponent of (Z/NZ)^x.  The orbit {chi^k : gcd(k, d) = 1} has phi(d)
+    members, all marked seen when the first is met.
+    """
+    ctx = LevelContext.of(N)
+    groups = [_local_group(p**e) for p, e in ctx.factorization]
+    orders = [o for grp in groups for o in grp.orders]
+    L = lcm(*orders)
+
+    def scaled_logs(a: int) -> list[int]:
+        logs = [t for grp in groups for t in grp.logs[a % grp.q]]
+        return [t * (L // o) for t, o in zip(logs, orders)]
+
+    cusp_logs = [scaled_logs(a) for a in ctx.cusps]
+    minus_one = scaled_logs(N - 1)
+    seen = set()
+    out = []
+    for exps in product(*(range(o) for o in orders)):
+        if exps in seen or not any(exps) or sum(x * u for x, u in zip(exps, minus_one)) % L:
+            continue
+        d = lcm(*(o // gcd(o, x) for o, x in zip(orders, exps)))
+        seen.update(
+            tuple(k * x % o for x, o in zip(exps, orders)) for k in range(1, d) if gcd(k, d) == 1
+        )
+        step = L // d
+        out.append((d, [sum(x * t for x, t in zip(exps, u)) % L // step for u in cusp_logs]))
+    return out
+
+
 def nonprincipal_quarter_product(N: int) -> Fraction:
     """|prod over even non-principal chi of (1/4) * B_{2,chi}|, exactly.
 
-    Obtained as |det of the Bernoulli matrix| divided by |(1/4) * B_{2,chi0}|.
+    12N * (1/4) * B_{2,chi} = C(chi) = sum over the cusps a of
+    unit_lead_key(N, a) * chi(a), so each Galois orbit of characters of order
+    d contributes the norm of C(zeta_d) from Q(zeta_d), and the product is
+    prod |norms| / (12N)^(n-1) with n the number of cusps.
+
+    >>> nonprincipal_quarter_product(13)
+    Fraction(19, 13)
+    >>> nonprincipal_quarter_product(13) * yu_prefactor(13)
+    Fraction(19, 1)
     """
-    return abs(bernoulli_matrix_det(N)) / abs(Fraction(1, 4) * b2_chi0(N))
+    cusps = LevelContext.of(N).cusps
+    keys = [unit_lead_key(N, a) for a in cusps]
+    orbits = _even_character_orbits(N)
+    covered = sum(euler_phi(d) for d, _ in orbits)
+    if covered != len(cusps) - 1:
+        raise ConsistencyError(f"N={N}: character orbits cover {covered} characters, expected {len(cusps) - 1}")
+    num = 1
+    for d, exps in orbits:
+        coeffs = [0] * d
+        for k, e in zip(keys, exps):
+            coeffs[e] += k
+        num *= abs(_orbit_norm(coeffs, d))
+    return Fraction(num, (12 * N) ** (len(cusps) - 1))
 
 
 def yu_prefactor(N: int) -> Fraction:

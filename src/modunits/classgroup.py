@@ -2,8 +2,9 @@
 structure of the cuspidal divisor class groups.
 
 The lattice route computes the index of the basis-divisor sublattice; the
-analytic route multiplies the Euler-type prefactor by the Bernoulli-matrix
-determinant.  Their exact agreement for every level is the system's
+analytic route multiplies the Euler-type prefactor by the product of the
+(1/4) * B_{2,chi} over the even non-principal characters, taken as exact
+cyclotomic norms.  Their exact agreement for every level is the system's
 primary self-check.
 """
 
@@ -129,7 +130,9 @@ def class_number_lattice(N: int, generator: int | None = None) -> int:
 
 
 def class_number_yu(N: int) -> int:
-    """Class number by the analytic formula; exact, no characters involved."""
+    """Class number by the analytic formula, exactly: Yu's prefactor times
+    the product of (1/4) * B_{2,chi} over the even non-principal characters,
+    one integer norm per Galois orbit of characters."""
     return _class_number_yu(N)
 
 

@@ -4,19 +4,24 @@ from math import gcd
 
 import pytest
 
+from modunits import bernoulli
 from modunits.bernoulli import (
+    _even_character_orbits,
+    _orbit_norm,
     b2_chi0,
     b2_chi_numeric,
     b2_primitive_numeric,
     bernoulli_matrix,
     bernoulli_matrix_det,
     conductor,
+    cyclotomic,
     enumerate_even_characters,
     nonprincipal_quarter_product,
     primitive_value,
     yu_prefactor,
 )
-from modunits.numtheory import b2, euler_phi, factorize
+from modunits.errors import ConsistencyError
+from modunits.numtheory import b2, divisors, euler_phi, factorize
 from modunits.zlinalg import det, mat_mul
 
 
@@ -180,3 +185,75 @@ def test_squarefree_remark_identity_n21():
     assert abs(det(Q)) == abs(28 * 8 * bernoulli_matrix_det(21))
     assert sum(Q[5]) == 16
     assert abs(det(Q)) / 16 == 182
+
+
+def _bareiss_quarter_product(N):
+    return abs(bernoulli_matrix_det(N)) / abs(Fraction(1, 4) * b2_chi0(N))
+
+
+def test_quarter_product_matches_bareiss():
+    # the orbit norms against the whole-matrix determinant over B_{2,chi0};
+    # G = (Z/NZ)^x/+-1 is not cyclic at N = 24, 60, 84, 120 and 420, among others
+    for N in list(range(5, 121)) + [127, 169, 243, 256, 420]:
+        assert nonprincipal_quarter_product(N) == _bareiss_quarter_product(N), N
+
+
+@pytest.mark.extended
+def test_quarter_product_matches_bareiss_to_300():
+    for N in range(5, 301):
+        assert nonprincipal_quarter_product(N) == _bareiss_quarter_product(N), N
+
+
+def test_character_orbits():
+    # (Z/24Z)^x/+-1 = (Z/2)^2: three orbits of one quadratic character each
+    assert [d for d, _ in _even_character_orbits(24)] == [2, 2, 2]
+    # cyclic G of order 6 at N = 13: one orbit per divisor d > 1 of 6
+    assert sorted(d for d, _ in _even_character_orbits(13)) == [2, 3, 6]
+    for N in (13, 24, 60, 81):
+        orbits = _even_character_orbits(N)
+        assert sum(euler_phi(d) for d, _ in orbits) == euler_phi(N) // 2 - 1
+        for d, exps in orbits:
+            assert all(0 <= e < d for e in exps)
+            assert exps[0] == 0  # chi(1) = 1
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_products():
+    for m in range(1, 121):
+        prod = [1]
+        for d in divisors(m):
+            assert len(cyclotomic(d)) == euler_phi(d) + 1 and cyclotomic(d)[-1] == 1
+            prod = _poly_mul(prod, cyclotomic(d))
+        assert prod == [-1] + [0] * (m - 1) + [1], m
+    assert cyclotomic(105)[7] == -2 and min(cyclotomic(105)) == -2
+    assert cyclotomic(1) == (-1, 1) and cyclotomic(2) == (1, 1)
+    with pytest.raises(ValueError):
+        cyclotomic(0)
+
+
+def test_orbit_norm_values():
+    # Res(Phi_3, 2 + x) = (2 + w)(2 + w^2) = 4 - 2 + 1 = 3
+    assert _orbit_norm([2, 1, 0], 3) == 3
+    assert _orbit_norm([4, 2, 0], 3) == 2**2 * 3  # the content comes back as g^phi(d)
+    # Res(Phi_4, 1 + x) = (1 + i)(1 - i) = 2, given unreduced
+    assert _orbit_norm([1, 1, 0, 0], 4) == 2
+    assert _orbit_norm([0, 0, 0, 1], 4) == 1  # x^3 = -i is a unit
+    with pytest.raises(ConsistencyError):
+        _orbit_norm([0] * 6, 6)
+    with pytest.raises(ConsistencyError):
+        _orbit_norm([1, 1, 1], 3)  # Phi_3 itself vanishes at zeta_3
+
+
+def test_orbit_coverage_check(monkeypatch):
+    real = bernoulli._even_character_orbits
+    for doctor in (lambda o: o[1:], lambda o: o + o[:1]):
+        monkeypatch.setattr(bernoulli, "_even_character_orbits", lambda N, f=doctor: f(real(N)))
+        with pytest.raises(ConsistencyError):
+            nonprincipal_quarter_product(60)
