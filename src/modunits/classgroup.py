@@ -18,13 +18,7 @@ from .bernoulli import nonprincipal_quarter_product, yu_prefactor
 from .errors import ConsistencyError
 from .numtheory import is_prime
 from .siegel import LevelContext, divisor, is_gamma1_modular, orbit_condition_holds
-from .zlinalg import (
-    det_solve,
-    mat_mul,
-    smith_invariants_bounded,
-    smith_invariants_local,
-    smith_transforms_bounded,
-)
+from .zlinalg import det_solve, smith_invariants_local, smith_transforms_local
 
 __all__ = [
     "ConsistencyError",
@@ -193,13 +187,7 @@ def _analyze(N: int, generator: int | None) -> ClassGroupReport:
 
     t0 = time.perf_counter()
     invariants = smith_invariants_local(coords, det, y) if coords else []
-    stage = "local_smith"
-    if invariants is None:
-        # the class number annihilates the quotient, so the Smith reduction
-        # can balance all entries mod h_yu
-        invariants = [d for d in smith_invariants_bounded(coords, h_yu) if d != 1]
-        stage = "smith_mod_h"
-    timings.append((stage, time.perf_counter() - t0))
+    timings.append(("local_smith", time.perf_counter() - t0))
     st = GroupStructure(tuple(invariants))
     if st.order != h_yu:
         raise ConsistencyError(f"N={N}: group order {st.order} != class number {h_yu}")
@@ -261,19 +249,27 @@ def _partial_sum_coords(rows: list[list[int]]) -> list[list[int]]:
 
 @lru_cache(maxsize=None)
 def _quotient_data(N: int, generator: int | None = None):
-    """Smith data of the coordinate matrix mod h: (diagonal, V, V^{-1} mod h)."""
+    """Coordinates of the class group: (invariants d_j, functionals F, generators G).
+
+    x -> x.F[j] mod d_j are the coordinates of the class of a coordinate row
+    x, and G[i] is a coordinate row of the class with coordinates e_i.
+    """
     report = analyze(N, generator)
     coords = _partial_sum_coords([list(r) for r in report.matrix])
     if not coords:
         return (), (), ()
-    h = report.h_yu
-    diag, V, W = smith_transforms_bounded(coords, h)
-    if tuple(d for d in diag if d != 1) != report.structure.invariants:
-        raise ConsistencyError(f"N={N}: the tracked Smith reduction disagrees with the structure")
-    VW = mat_mul(V, W)
-    if any((x - (i == j)) % h for i, row in enumerate(VW) for j, x in enumerate(row)):
-        raise ConsistencyError(f"N={N}: the Smith column transform is not invertible mod h")
-    return tuple(diag), tuple(tuple(r) for r in V), tuple(tuple(r) for r in W)
+    det, y = det_solve(coords, _solve_column(len(coords)))
+    diag, F, G = smith_transforms_local(coords, det, y)
+    if tuple(diag) != report.structure.invariants:
+        raise ConsistencyError(f"N={N}: the tracked local Smith elimination disagrees with the structure")
+    for d, f in zip(diag, F):
+        if any(sum(x * c for x, c in zip(row, f)) % d for row in coords):
+            raise ConsistencyError(f"N={N}: a class coordinate mod {d} is nonzero on a relation")
+    for i, g in enumerate(G):
+        for j, (d, f) in enumerate(zip(diag, F)):
+            if (sum(x * c for x, c in zip(g, f)) - (i == j)) % d:
+                raise ConsistencyError(f"N={N}: generator {i} does not have coordinates e_{i}")
+    return tuple(diag), tuple(tuple(f) for f in F), tuple(tuple(g) for g in G)
 
 
 def _coords_to_divisor(coords: list[int]) -> list[int]:
@@ -289,16 +285,13 @@ def _coords_to_divisor(coords: list[int]) -> list[int]:
 def generators(N: int, generator: int | None = None) -> list[tuple[list[int], int]]:
     """Degree-0 divisors generating the class group, with their orders.
 
-    Returns one (divisor, order) pair per nontrivial invariant, divisors in
+    Returns one (divisor, order) pair per invariant, divisors in
     ascending-cusp coordinates.  Coefficients are differences of balanced
-    residues mod h, so none exceeds h in absolute value.
+    residues mod the exponent d_max (the largest invariant), so none exceeds
+    d_max <= h in absolute value.
     """
-    diag, _, W = _quotient_data(N, generator)
-    out = []
-    for i, d in enumerate(diag):
-        if d > 1:
-            out.append((_coords_to_divisor(list(W[i])), d))
-    return out
+    diag, _, G = _quotient_data(N, generator)
+    return [(_coords_to_divisor(list(g)), d) for g, d in zip(G, diag)]
 
 
 def class_coordinates(N: int, div: list[int], generator: int | None = None) -> list[tuple[int, int]]:
@@ -308,13 +301,9 @@ def class_coordinates(N: int, div: list[int], generator: int | None = None) -> l
         raise ValueError(f"divisor must have {n} entries, got {len(div)}")
     if sum(div) != 0:
         raise ValueError("divisor must have degree 0")
-    diag, V, _ = _quotient_data(N, generator)
+    diag, F, _ = _quotient_data(N, generator)
     coords = _partial_sum_coords([div])[0]
-    out = []
-    for j, d in enumerate(diag):
-        y = sum(coords[i] * V[i][j] for i in range(len(coords)))
-        out.append((y % d, d))
-    return out
+    return [(sum(x * c for x, c in zip(coords, f)) % d, d) for d, f in zip(diag, F)]
 
 
 def is_principal(N: int, div: list[int], generator: int | None = None) -> bool:

@@ -6,16 +6,16 @@ on the matrix extended by one column b and also returns adj(m)*b.  The
 class-group pipeline finds Smith invariants from that solve
 (`smith_invariants_local`): the denominator s of m^{-1} b divides the
 largest invariant, every prime of |det| that misses |det|/s has a cyclic
-part, and each prime of |det|/s gets its exponents from an elimination over
-Z/p^K (`local_smith_exponents`).  When |det|/s does not factor by bounded
-trial division, the caller falls back to the Smith reduction with entries
-balanced mod an annihilator D (`smith_invariants_bounded`), which also
-tracks column transforms mod D for generators (`smith_transforms_bounded`);
-it clears each entry of a pivot column or row with one 2x2 unimodular Bezout
-step.  The unbounded Hermite and Smith normal forms (`hnf`,
-`snf_with_transforms`) use integer row/column reduction with
-smallest-pivot selection and serve as reference routines for the tests.
-All results are exact.
+part, and |det|/s is covered by moduli r, each with its own elimination over
+Z/r^K.  The moduli are the primes found by bounded trial division and the
+cofactor left over; a composite modulus is split whenever a pivot's unit
+part shares a factor with it (dynamic evaluation), so nothing has to be
+factored.  The same elimination, with its column steps mirrored on a
+transform V and its inverse W, gives the coordinates and generators of
+Z^n / rowspace(m) (`smith_transforms_local`).  The unbounded Hermite and
+Smith normal forms (`hnf`, `snf_with_transforms`) use integer row/column
+reduction with smallest-pivot selection and serve as reference routines
+for the tests.  All results are exact.
 """
 
 from fractions import Fraction
@@ -297,110 +297,60 @@ def _balanced(x: int, D: int) -> int:
     return x - D if 2 * x > D else x
 
 
-def smith_invariants_bounded(m, annihilator: int) -> list[int]:
-    """Smith invariants of Z^n / rowspace(m) when `annihilator` kills the
-    quotient (equivalently D*Z^n is contained in the row space).
-
-    Entries are kept in balanced residues mod D throughout, so nothing ever
-    grows beyond D/2; this is what makes large levels tractable.  Returns
-    one invariant per column (units included), divisibility chain ascending.
-    """
-    return _smith_mod(m, annihilator, track=False)[0]
-
-
-def smith_transforms_bounded(m, annihilator: int) -> tuple[list[int], IntMatrix, IntMatrix]:
-    """Smith invariants mod D with the column transform: (invariants, V, W).
-
-    Same reduction and invariants as `smith_invariants_bounded`.  V and W
-    are n x n, inverse to each other mod D, with balanced entries (at most
-    D/2 in absolute value).  Column j of m*V is 0 mod the j-th invariant, so
-    x -> x*V mod d_j gives the coordinates of a class of the quotient, and
-    row j of W is a class with coordinates e_j.
-    """
-    return _smith_mod(m, annihilator, track=True)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) = s*a + t*b >= 0.
-
-    When a | b it is the plain step (|a|, +-1, 0): a Bezout pair there may
-    swap the two rows, and the Smith reduction could then cycle.
-    """
-    if a and b % a == 0:
-        return abs(a), (1 if a > 0 else -1), 0
-    r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return (r0, s0, t0) if r0 > 0 else (-r0, -s0, -t0)
-
-
-def _smith_mod(m, annihilator: int, track: bool):
-    # Cohen, GTM 138, Alg. 2.4.14 done mod D.  Each nonzero entry b of the
-    # pivot column (then row) is cleared by one unimodular 2x2 step
-    # [[s, t], [-b/g, a/g]] on rows (columns) k and i, where a is the pivot
-    # and s*a + t*b = g; this repeats while a column step refills column k.
-    # Then g = gcd(pivot, D) is the invariant, unless it misses an entry of
-    # the remainder, whose row is added to row k.  Column steps are mirrored
-    # on the columns of V and, inverted as [[a/g, b/g], [-t, s]], on the rows
-    # of W; row steps and the implicit D rows (zero rows mod D, so a short
-    # matrix is padded with them) leave both alone
-    D = int(annihilator)
-    if D < 1:
-        raise ValueError("annihilator must be a positive integer")
-    A = [[_balanced(int(x), D) for x in row] for row in m]
-    ncols = len(A[0]) if A else 0
-    if any(len(r) != ncols for r in A):
-        raise ValueError("matrix must be rectangular")
-    A += [[0] * ncols for _ in range(ncols - len(A))]
-    nrows = len(A)
-    V = W = None
-    if track:
-        V = [[_balanced(x, D) for x in row] for row in identity(ncols)]
-        W = [row[:] for row in V]
-    out: list[int] = []
-    for k in range(ncols):
-        while True:
-            for i in range(k + 1, nrows):
-                b = A[i][k]
-                if b:
-                    a = A[k][k]
-                    g, s, t = _xgcd(a, b)
-                    u, v = -b // g, a // g
-                    rk, ri = A[k][k:], A[i][k:]
-                    A[k][k:] = [_balanced(s * x + t * y, D) for x, y in zip(rk, ri)]
-                    A[i][k:] = [_balanced(u * x + v * y, D) for x, y in zip(rk, ri)]
-            for j in range(k + 1, ncols):
-                b = A[k][j]
-                if b:
-                    a = A[k][k]
-                    g, s, t = _xgcd(a, b)
-                    u, v = -b // g, a // g
-                    for row in A[k:] + V if track else A[k:]:
-                        x, y = row[k], row[j]
-                        row[k] = _balanced(s * x + t * y, D)
-                        row[j] = _balanced(u * x + v * y, D)
-                    if track:
-                        wk, wj = W[k], W[j]
-                        W[k] = [_balanced(v * x - u * y, D) for x, y in zip(wk, wj)]
-                        W[j] = [_balanced(s * y - t * x, D) for x, y in zip(wk, wj)]
-            if any(A[i][k] for i in range(k + 1, nrows)):
-                continue
-            g = gcd(A[k][k], D)
-            offender = next(
-                (i for i in range(k + 1, nrows) if any(x % g for x in A[i][k + 1 :])), None
-            )
-            if offender is None:
-                break
-            A[k] = [_balanced(x + y, D) for x, y in zip(A[k], A[offender])]
-        out.append(g)
-    return out, V, W
-
-
 #: trial-division bound for |det| / s in `smith_invariants_local`
 TRIAL_BOUND = 1 << 16
+
+
+def _local_smith(m, r: int, K: int, track: bool):
+    # Smith elimination of a square matrix over Z/r^K: while every remaining
+    # entry is 0 mod r^v, an entry that is not 0 mod r^(v+1) is the pivot.
+    # If its unit part shares a factor g with r (r composite), this returns
+    # (g, [], None, None).  Otherwise each pivot is a unit times r^v at every
+    # prime of r, so the result holds at all of them: (1, pivots, V, W) with
+    # one (v, column) per pivot, v ascending.  With `track`, the column steps
+    # col_k -= c*col_j that clear the pivot row are mirrored on V (V[k] holds
+    # column k) and their inverses row_j += c*row_k on W = V^{-1}; rows of W
+    # are written only at their own pivot, so row k is still e_k there.
+    q = r**K
+    rows = [[x % q for x in row] for row in _copy_int(m)]
+    n = len(rows)
+    if len(rows[0]) != n:
+        raise ValueError("local Smith elimination requires a square matrix")
+    cols = list(range(n))
+    V, W = (identity(n), identity(n)) if track else (None, None)
+    out: list[tuple[int, int]] = []
+    v, pv = 0, 1  # every remaining entry is 0 mod pv = r^v
+    while rows:
+        step = pv * r
+        hit = next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x % step), None)
+        if hit is None:
+            if v + 1 < K:
+                v, pv = v + 1, step
+                continue
+            out += [(K, k) for k in cols]
+            break
+        i, j = hit
+        prow = rows.pop(i)
+        unit = prow[j] // pv
+        try:
+            inv = pow(unit, -1, q)
+        except ValueError:
+            return gcd(unit, r), [], None, None
+        for row in rows:
+            if row[j]:
+                f = row[j] // pv * inv % q
+                row[:] = [(x - f * y) % q for x, y in zip(row, prow)]
+            del row[j]
+        if track:
+            # the column steps change no other row: each is 0 in column j now
+            vj, wj = V[cols[j]], W[cols[j]]
+            for k, x in enumerate(prow):
+                if x and k != j:
+                    c = x // pv * inv % q
+                    V[cols[k]] = [(a - c * b) % q for a, b in zip(V[cols[k]], vj)]
+                    wj[cols[k]] = c
+        out.append((v, cols.pop(j)))
+    return 1, out, V, W
 
 
 def local_smith_exponents(m, p: int, K: int) -> list[int]:
@@ -410,40 +360,95 @@ def local_smith_exponents(m, p: int, K: int) -> list[int]:
 
     Over the local ring an entry of least valuation divides every other
     entry, so one pass per pivot is enough: clear its column with row
-    steps, then drop its row and column (the column steps that would clear
-    its row change nothing else).
+    steps, then drop its row and column.
 
     >>> local_smith_exponents([[4, 0], [0, 6]], 2, 4)
     [1, 2]
     """
-    q = p**K
-    rows = [[x % q for x in row] for row in _copy_int(m)]
-    if len(rows[0]) != len(rows):
-        raise ValueError("local_smith_exponents requires a square matrix")
+    split, pivots, _, _ = _local_smith(m, p, K, track=False)
+    if split > 1:
+        raise ValueError(f"modulus {p} is not a prime: it has the factor {split}")
+    return [v for v, _ in pivots]
+
+
+def _coprime_base(nums: list[int]) -> list[int]:
+    # pairwise coprime numbers > 1 whose products give every input: a pair
+    # with g = gcd(x, y) > 1 becomes x/g, g, y/g, which lowers the product
     out: list[int] = []
-    v, pv = 0, 1  # every remaining entry is 0 mod pv = p^v
-    while rows:
-        step = pv * p
-        hit = next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x % step), None)
-        if hit is None:
-            if v + 1 < K:
-                v, pv = v + 1, step
-                continue
-            out += [K] * len(rows)
-            break
-        i, j = hit
-        prow = rows.pop(i)
-        inv = pow(prow[j] // pv, -1, q)
-        for row in rows:
-            if row[j]:
-                f = row[j] // pv * inv % q
-                row[:] = [(x - f * y) % q for x, y in zip(row, prow)]
-            del row[j]
-        out.append(v)
+    todo = [x for x in nums if x > 1]
+    while todo:
+        x = todo.pop()
+        for i, y in enumerate(out):
+            g = gcd(x, y)
+            if g > 1:
+                del out[i]
+                todo += [z for z in (x // g, g, y // g) if z > 1]
+                break
+        else:
+            out.append(x)
     return out
 
 
-def smith_invariants_local(m, det: int, y: list[int]) -> list[int] | None:
+def _smith_local(m, det: int, y: list[int], track: bool):
+    h = abs(det)
+    s = h // gcd(h, *y)
+    factors, rest = trial_factor(h // s, TRIAL_BOUND)
+    # the moduli stay pairwise coprime; each is refined until h = r^e * w
+    # with w coprime to r, and again whenever its elimination splits it
+    todo = _coprime_base([p for p, _ in factors] + [rest])
+    cyclic = h
+    pieces = []  # (index from the end, invariant factor, part of h, column, row)
+    while todo:
+        r = todo.pop()
+        e, w = 0, h
+        while w % r == 0:
+            w, e = w // r, e + 1
+        split = gcd(w, r)
+        if split == 1:
+            split, pivots, V, W = _local_smith(m, r, e + 1, track)
+        if split > 1:
+            todo = _coprime_base(todo + [split, r // split])
+            continue
+        pivots = [(v, k) for v, k in pivots if v]
+        total = sum(v for v, _ in pivots)
+        if total != e:
+            raise ConsistencyError(f"local Smith exponents mod {r} sum to {total}, not v_r(det) = {e}")
+        cyclic //= r**e
+        for t, (v, k) in enumerate(reversed(pivots)):
+            pieces.append((-1 - t, r**v, r**e, V[k] if track else None, W[k] if track else None))
+    if cyclic > 1:
+        g = None
+        if track:
+            # m*y = det*b is 0 mod cyclic, and the row g has g.y = 1 mod
+            # cyclic: gcd(cyclic, *y) = 1, as cyclic is coprime to h/s
+            g, acc = [0] * len(y), cyclic  # acc = g.y mod cyclic = gcd(cyclic, *y[:i])
+            for i, x in enumerate(y):
+                d = gcd(acc, x)
+                if d < acc:
+                    t = pow(x // d, -1, acc // d)
+                    u = (d - t * x) // acc  # u*acc + t*x = d
+                    g = [u * z % cyclic for z in g]
+                    g[i], acc = t % cyclic, d
+        pieces.append((-1, cyclic, cyclic, y, g))
+    out = [1] * max([-i for i, *_ in pieces], default=0)
+    for i, d, *_ in pieces:
+        out[i] *= d
+    if not track:
+        return out, None, None
+    # eps is 1 mod its own part of h and 0 mod the rest, so the same
+    # idempotents join the columns mod d_j and the rows mod d_max
+    F = [[0] * len(y) for _ in out]
+    G = [[0] * len(y) for _ in out]
+    for i, _, part, f, g in pieces:
+        eps = h // part * pow(h // part, -1, part)
+        F[i] = [a + eps * b for a, b in zip(F[i], f)]
+        G[i] = [a + eps * b for a, b in zip(G[i], g)]
+    F = [[x % d for x in f] for f, d in zip(F, out)]
+    G = [[_balanced(x, out[-1]) for x in g] for g in G]
+    return out, F, G
+
+
+def smith_invariants_local(m, det: int, y: list[int]) -> list[int]:
     """Nontrivial Smith invariants, ascending, of a nonsingular square
     integer matrix m, given det = det(m) and y = adj(m)*b for some column b.
 
@@ -451,38 +456,42 @@ def smith_invariants_local(m, det: int, y: list[int]) -> list[int] | None:
     largest invariant (Eberly-Giesbrecht-Villard); a random b makes it equal
     with high probability.  A prime of |det| that does not divide |det|/s
     therefore has a cyclic part, which goes whole into the largest
-    invariant.  Each prime p of |det|/s gets its exponents from
-    `local_smith_exponents` mod p^(v_p(det)+1), and the parts are joined by
-    CRT.  An unlucky b only adds primes to |det|/s.  Returns None when
-    |det|/s keeps a part with no prime factor up to `TRIAL_BOUND`.
+    invariant.  |det|/s is covered by moduli r, the primes up to
+    `TRIAL_BOUND` and the cofactor, each with one elimination mod
+    r^(v_r(det)+1); a modulus is split whenever det or a pivot shows a
+    factor of it (dynamic evaluation).  An unlucky b only adds moduli.
 
     >>> smith_invariants_local([[2, 0], [0, 6]], 12, [6, 2])
     [2, 6]
     """
-    h = abs(det)
-    s = h // gcd(h, *y)
-    factors, rest = trial_factor(h // s, TRIAL_BOUND)
-    if rest > 1:
-        return None
-    cyclic = h
-    parts = []
-    for p, _ in factors:
-        e = 0
-        while cyclic % p == 0:
-            cyclic //= p
-            e += 1
-        exps = [x for x in local_smith_exponents(m, p, e + 1) if x]
-        if sum(exps) != e:
-            raise ConsistencyError(f"local Smith exponents at p={p} sum to {sum(exps)}, not v_p(det) = {e}")
-        parts.append((p, exps))
-    rank = max([len(exps) for _, exps in parts] + [int(cyclic > 1)])
-    out = [1] * rank
-    if rank:
-        out[-1] = cyclic
-    for p, exps in parts:
-        for k, e in enumerate(reversed(exps)):
-            out[rank - 1 - k] *= p**e
-    return out
+    return _smith_local(m, det, y, track=False)[0]
+
+
+def smith_transforms_local(m, det: int, y: list[int]) -> tuple[list[int], IntMatrix, IntMatrix]:
+    """`smith_invariants_local` with coordinates: (invariants d_j, F, G).
+
+    F[j] is a column with m*F[j] = 0 mod d_j, so x -> x.F[j] mod d_j is the
+    j-th coordinate of a class of Z^n / rowspace(m); G[i] is a row with
+    G[i].F[j] = delta_ij mod d_j, a class with coordinates e_i.  Each index
+    joins the columns and rows of the local eliminations by CRT; the cyclic
+    part takes F = y and a Bezout row of y.  G is balanced mod the largest
+    invariant, so no entry exceeds |det| / 2.
+
+    >>> smith_transforms_local([[2, 0], [0, 6]], 12, [6, 2])
+    ([2, 6], [[1, 0], [0, 5]], [[3, 0], [0, -1]])
+    """
+    return _smith_local(m, det, y, track=True)
+
+
+def smith_invariants_bounded(m, annihilator: int) -> list[int]:
+    """Smith invariants of a nonsingular square integer matrix, one per
+    column with units included, ascending, by `det_solve` and
+    `smith_invariants_local`; the annihilator is only checked."""
+    det, y = det_solve(m, [1] * len(m))
+    if det == 0 or annihilator < 1:
+        raise ValueError("requires a nonsingular matrix and a positive annihilator")
+    out = smith_invariants_local(m, det, y)
+    return [1] * (len(m) - len(out)) + out
 
 
 def lattice_index(rows, size: int | None = None) -> int:

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modunits import classgroup, zlinalg
 from modunits.bernoulli import bernoulli_matrix
@@ -76,18 +78,36 @@ def test_analyze_stage_names():
         assert all(t >= 0 for _, t in timings)
 
 
-def test_analyze_falls_back_to_smith_mod_h(monkeypatch):
-    # with no trial division the 2- and 3-parts of h/s at N = 72 stay
-    # unfactored, so the level takes the reduction mod h
+def test_analyze_splits_unfactored_cofactor(monkeypatch):
+    # with no trial division h/s at N = 72 is one composite modulus; the
+    # local eliminations split it into its 2- and 3-parts
     expected = structure(72)
+    splits = []
+    local_smith = zlinalg._local_smith
+
+    def spy(*args):
+        out = local_smith(*args)
+        splits.append(out[0])
+        return out
+
     monkeypatch.setattr(zlinalg, "TRIAL_BOUND", 0)
+    monkeypatch.setattr(zlinalg, "_local_smith", spy)
     classgroup._analyze.cache_clear()
+    classgroup._quotient_data.cache_clear()
     try:
         report = analyze(72)
-        assert [name for name, _ in report.timings][-1] == "smith_mod_h"
+        assert [name for name, _ in report.timings][-1] == "local_smith"
         assert report.structure == expected
+        assert any(g > 1 for g in splits)
+        gens = generators(72)
+        assert tuple(d for _, d in gens) == expected.invariants
+        for div, d in gens:
+            assert _order_of(72, div) == d
+            assert is_principal(72, [d * x for x in div])
+            assert not is_principal(72, div)
     finally:
         classgroup._analyze.cache_clear()
+        classgroup._quotient_data.cache_clear()
 
 
 def test_divisor_matrix_36_verbatim():
@@ -198,6 +218,46 @@ def test_generators_orders_and_membership():
                     assert not is_principal(N, [(d // e) * x for x in div])
             prod *= d
         assert prod == class_number_yu(N)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_class_coordinate_properties(data):
+    N = data.draw(st.integers(5, 150), label="N")
+    n = LevelContext.of(N).num_cusps
+
+    def degree_zero():
+        d = data.draw(st.lists(st.integers(-50, 50), min_size=n - 1, max_size=n - 1))
+        return d + [-sum(d)]
+
+    a, b = degree_zero(), degree_zero()
+    ca, cb = class_coordinates(N, a), class_coordinates(N, b)
+    assert class_coordinates(N, [x + y for x, y in zip(a, b)]) == [
+        ((x + y) % d, d) for (x, d), (y, _) in zip(ca, cb)
+    ]
+    for row in divisor_matrix(N):
+        assert all(r == 0 for r, _ in class_coordinates(N, row))
+    gens = generators(N)
+    h = class_number_yu(N)
+    assert prod(d for _, d in gens) == h
+    for i, (div, _) in enumerate(gens):
+        assert [r for r, _ in class_coordinates(N, div)] == [int(i == j) for j in range(len(gens))]
+        assert all(abs(x).bit_length() <= h.bit_length() for x in div)
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("N", [343, 512])
+def test_generators_at_large_levels(N):
+    # the order and principality checks that perfbench/worker.py makes on
+    # each generator item
+    gens = generators(N)
+    assert tuple(d for _, d in gens) == structure(N).invariants
+    cusps = LevelContext.of(N).num_cusps
+    for div, d in gens:
+        assert len(div) == cusps and sum(div) == 0
+        assert is_principal(N, [d * x for x in div])
+        assert not is_principal(N, div)
+        assert _order_of(N, div) == d
 
 
 def test_paper_generators_level_27():

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from modunits import zlinalg
 from modunits.errors import ConsistencyError
-from modunits.numtheory import trial_factor
 from modunits.zlinalg import (
-    TRIAL_BOUND,
     det,
     det_int,
     det_solve,
@@ -23,7 +22,7 @@ from modunits.zlinalg import (
     smith_invariants,
     smith_invariants_bounded,
     smith_invariants_local,
-    smith_transforms_bounded,
+    smith_transforms_local,
     snf,
     snf_with_transforms,
 )
@@ -146,20 +145,20 @@ def test_snf_against_minor_gcd_oracle():
 
 
 def test_snf_bounded_matches_plain():
+    # the wrapper kept for callers of the former reduction mod D
     cases = [
         ([[0, 1], [1, 0]], 1),  # zero top-left pivot
         ([[0, 1], [1, 0]], 4),
         ([[0, 2], [3, 0]], 6),
-        ([[-4, 2], [4, 3]], 20),  # the column step refills the pivot column
-        ([[2, 0], [0, 3]], 6),  # gcd(2, 6) misses the 3: the offender row is needed
-        ([[1, 0], [0, 6]], 6),  # remainder is 0 mod D
+        ([[-4, 2], [4, 3]], 20),
+        ([[2, 0], [0, 3]], 6),
+        ([[1, 0], [0, 6]], 6),
         ([[1, 0], [0, 6]], 12),
         ([[200, 198], [303, 300]], 6),  # entries larger than D
         ([[100, 97], [103, 100]], 9),
     ]
     for m, D in cases:
         assert smith_invariants_bounded(m, D) == smith_invariants(m), (m, D)
-        assert smith_transforms_bounded(m, D)[0] == smith_invariants(m), (m, D)
     rng = random.Random(19)
     for _ in range(100):
         n = rng.randrange(1, 6)
@@ -168,32 +167,8 @@ def test_snf_bounded_matches_plain():
         if d == 0:
             continue
         assert smith_invariants_bounded(m, d) == smith_invariants(m)
-
-
-@st.composite
-def nonsingular_with_annihilator(draw):
-    n = draw(st.integers(1, 5))
-    entry = st.integers(-9, 9)
-    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-    d = abs(det_int(m))
-    assume(d)
-    # an extra row keeps d an annihilator and makes the matrix tall
-    extra = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=1))
-    return m + extra, d * draw(st.integers(1, 4))
-
-
-@settings(max_examples=150, deadline=None)
-@given(nonsingular_with_annihilator())
-def test_smith_transforms_bounded_properties(case):
-    m, D = case
-    n = len(m[0])
-    inv, V, W = smith_transforms_bounded(m, D)
-    assert inv == smith_invariants(m)
-    VW = mat_mul(V, W)
-    assert all((VW[i][j] - (i == j)) % D == 0 for i in range(n) for j in range(n))
-    for row in mat_mul(m, V):
-        assert all(x % d == 0 for x, d in zip(row, inv))
-    assert all(2 * abs(x) <= D for t in (V, W) for row in t for x in row)
+    with pytest.raises(ValueError):
+        smith_invariants_bounded([[1, 0], [0, 0]], 1)  # singular
 
 
 def test_det_solve_is_adjugate_times_column():
@@ -235,13 +210,26 @@ def nonsingular_with_column(draw):
 @given(nonsingular_with_column())
 def test_smith_invariants_local_matches_reference(case):
     m, b = case
-    d, y = det_solve(m, b)
-    got = smith_invariants_local(m, d, y)
-    if got is None:
-        h = abs(d)
-        assert trial_factor(h // (h // gcd(h, *y)), TRIAL_BOUND)[1] > 1
-    else:
-        assert got == snf(m)
+    assert _local_route(m, b) == snf(m)
+
+
+# with no trial division the one modulus is the whole of |det|/s, which
+# det and the eliminations split (dynamic evaluation)
+@pytest.mark.parametrize("bound", [zlinalg.TRIAL_BOUND, 0])
+@settings(max_examples=100, deadline=None)
+@given(nonsingular_with_column())
+def test_smith_transforms_local_properties(bound, case):
+    m, b = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zlinalg, "TRIAL_BOUND", bound)
+        inv, F, G = smith_transforms_local(m, *det_solve(m, b))
+    assert inv == [d for d in smith_invariants(m) if d != 1]
+    for d, f in zip(inv, F):
+        assert all(sum(x * c for x, c in zip(row, f)) % d == 0 for row in m)
+    for i, g in enumerate(G):
+        for j, (d, f) in enumerate(zip(inv, F)):
+            assert (sum(x * c for x, c in zip(g, f)) - (i == j)) % d == 0
+        assert all(2 * abs(x) <= inv[-1] for x in g)
 
 
 def test_smith_invariants_local_zero_column_sends_every_prime_local():
@@ -271,13 +259,21 @@ def test_smith_invariants_local_two_primes_of_high_valuation():
     assert local_smith_exponents(m, 3, 17) == [0, 7, 9]
     # precision below the largest exponent: the invariant vanishes and counts as K
     assert local_smith_exponents(m, 2, 6) == [3, 5, 6]
+    # a composite modulus serves while every pivot's unit part is a unit;
+    # otherwise the elimination names a factor of it
+    assert local_smith_exponents([[6, 0], [0, 36]], 6, 3) == [1, 2]
+    with pytest.raises(ValueError, match="factor 2"):
+        local_smith_exponents([[2, 0], [0, 3]], 6, 2)
 
 
-def test_smith_invariants_local_falls_back_above_trial_bound():
-    q = 2**61 - 1  # prime, above TRIAL_BOUND**2
-    m = [[q, 0], [0, q]]
-    assert _local_route(m, [1, 1]) is None
-    assert smith_invariants_bounded(m, q * q) == [q, q]
+def test_smith_invariants_local_splits_cofactor_above_trial_bound():
+    q = 2**61 - 1  # prime, above TRIAL_BOUND**2, so trial division leaves it
+    assert _local_route([[q, 0], [0, q]], [1, 1]) == [q, q]
+    # b = 0 leaves the cofactor q^2 r; its elimination meets the pivot q r,
+    # which is no unit mod q^2 r, so the modulus splits into q and r
+    r = 2**31 - 1
+    m = [[q * r, 0], [0, q]]
+    assert _local_route(m, [0, 0]) == snf(m) == [q, q * r]
     # a cofactor that trial division can still prove prime goes local
     assert _local_route([[65537, 0], [0, 65537]], [1, 1]) == [65537, 65537]
 
