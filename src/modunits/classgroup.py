@@ -11,7 +11,9 @@ primary self-check.
 import random
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
+from numbers import Rational
 
 from .basis import BasisElement, basis
 from .bernoulli import nonprincipal_quarter_product, yu_prefactor
@@ -85,6 +87,8 @@ class ClassGroupReport:
     basis: tuple[BasisElement, ...]
     matrix: tuple[tuple[int, ...], ...]
     timings: tuple[tuple[str, float], ...]
+    #: (det A, adj(A)*b) of the partial-sum matrix A and b = `_solve_column`
+    solve: tuple[int, tuple[int, ...]]
 
     @property
     def class_number(self) -> int:
@@ -93,7 +97,28 @@ class ClassGroupReport:
     @property
     def generators(self) -> list[tuple[list[int], int]]:
         """Generator divisors with orders, computed on first access."""
-        return generators(self.N, self.generator)
+        diag, _, G = self._quotient
+        return [(_coords_to_divisor(g), d) for g, d in zip(G, diag)]
+
+    @cached_property
+    def _quotient(self):
+        """(invariants d_j, functionals F, generator rows G): x -> x.F[j] mod d_j
+        are the coordinates of the class of a partial-sum row x, and G[i] is a
+        row of the class with coordinates e_i."""
+        coords = _partial_sum_coords(self.matrix)
+        if not coords:
+            return (), (), ()
+        diag, F, G = smith_transforms_local(coords, *self.solve)
+        if tuple(diag) != self.structure.invariants:
+            raise ConsistencyError(f"N={self.N}: the tracked local Smith elimination disagrees with the structure")
+        for d, f in zip(diag, F):
+            if any(sum(x * c for x, c in zip(row, f)) % d for row in coords):
+                raise ConsistencyError(f"N={self.N}: a class coordinate mod {d} is nonzero on a relation")
+        for i, g in enumerate(G):
+            for j, (d, f) in enumerate(zip(diag, F)):
+                if (sum(x * c for x, c in zip(g, f)) - (i == j)) % d:
+                    raise ConsistencyError(f"N={self.N}: generator {i} does not have coordinates e_{i}")
+        return tuple(diag), tuple(tuple(f) for f in F), tuple(tuple(g) for g in G)
 
 
 def _divisor_rows(N: int, elements: tuple[BasisElement, ...]) -> list[list[int]]:
@@ -201,6 +226,7 @@ def _analyze(N: int, generator: int | None) -> ClassGroupReport:
         basis=elements,
         matrix=tuple(tuple(r) for r in rows),
         timings=tuple(timings),
+        solve=(det, tuple(y)),
     )
 
 
@@ -237,39 +263,7 @@ def primary_notation(parts: dict[int, int], p: int) -> str:
 
 def _partial_sum_coords(rows: list[list[int]]) -> list[list[int]]:
     """Coordinates of degree-0 rows in the difference-vector basis."""
-    out = []
-    for row in rows:
-        acc, coords = 0, []
-        for x in row[:-1]:
-            acc += x
-            coords.append(acc)
-        out.append(coords)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _quotient_data(N: int, generator: int | None = None):
-    """Coordinates of the class group: (invariants d_j, functionals F, generators G).
-
-    x -> x.F[j] mod d_j are the coordinates of the class of a coordinate row
-    x, and G[i] is a coordinate row of the class with coordinates e_i.
-    """
-    report = analyze(N, generator)
-    coords = _partial_sum_coords([list(r) for r in report.matrix])
-    if not coords:
-        return (), (), ()
-    det, y = det_solve(coords, _solve_column(len(coords)))
-    diag, F, G = smith_transforms_local(coords, det, y)
-    if tuple(diag) != report.structure.invariants:
-        raise ConsistencyError(f"N={N}: the tracked local Smith elimination disagrees with the structure")
-    for d, f in zip(diag, F):
-        if any(sum(x * c for x, c in zip(row, f)) % d for row in coords):
-            raise ConsistencyError(f"N={N}: a class coordinate mod {d} is nonzero on a relation")
-    for i, g in enumerate(G):
-        for j, (d, f) in enumerate(zip(diag, F)):
-            if (sum(x * c for x, c in zip(g, f)) - (i == j)) % d:
-                raise ConsistencyError(f"N={N}: generator {i} does not have coordinates e_{i}")
-    return tuple(diag), tuple(tuple(f) for f in F), tuple(tuple(g) for g in G)
+    return [list(accumulate(row[:-1])) for row in rows]
 
 
 def _coords_to_divisor(coords: list[int]) -> list[int]:
@@ -290,8 +284,7 @@ def generators(N: int, generator: int | None = None) -> list[tuple[list[int], in
     residues mod the exponent d_max (the largest invariant), so none exceeds
     d_max <= h in absolute value.
     """
-    diag, _, G = _quotient_data(N, generator)
-    return [(_coords_to_divisor(list(g)), d) for g, d in zip(G, diag)]
+    return analyze(N, generator).generators
 
 
 def class_coordinates(N: int, div: list[int], generator: int | None = None) -> list[tuple[int, int]]:
@@ -299,10 +292,14 @@ def class_coordinates(N: int, div: list[int], generator: int | None = None) -> l
     n = LevelContext.of(N).num_cusps
     if len(div) != n:
         raise ValueError(f"divisor must have {n} entries, got {len(div)}")
+    # Fractions of denominator 1 pass, as `divisor(u).orders` returns them
+    bad = [x for x in div if not (isinstance(x, Rational) and x.denominator == 1)]
+    if bad:
+        raise ValueError(f"divisor entries must be integers, got {bad[0]!r}")
     if sum(div) != 0:
         raise ValueError("divisor must have degree 0")
-    diag, F, _ = _quotient_data(N, generator)
-    coords = _partial_sum_coords([div])[0]
+    diag, F, _ = analyze(N, generator)._quotient
+    coords = _partial_sum_coords([[int(x) for x in div]])[0]
     return [(sum(x * c for x, c in zip(coords, f)) % d, d) for d, f in zip(diag, F)]
 
 

@@ -22,6 +22,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from datetime import datetime, timezone
+from itertools import repeat
 
 from . import __version__
 from .classgroup import (
@@ -239,23 +240,15 @@ def cmd_table(args, cache: Cache) -> int:
     lo, hi = _parse_range(args.range)
     if lo < 5:
         raise ValueError(f"levels start at 5, got {lo}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     levels = list(range(lo, hi + 1))
-    records = {}
-    for N in levels:
-        rec = cache.load(N, None)
-        if rec is not None:
-            records[N] = dict(rec, cache="hit")
-    missing = [N for N in levels if N not in records]
-    if args.jobs > 1 and len(missing) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for N, rec in zip(missing, pool.map(build_record, missing)):
-                records[N] = rec
+    if args.jobs > 1 and len(levels) > 1:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(levels))) as pool:
+            found = pool.map(cached_record, levels, repeat(None), repeat(cache))
+            records = dict(zip(levels, found))
     else:
-        for N in missing:
-            records[N] = build_record(N)
-    for N in missing:
-        cache.store(N, None, records[N])
-        records[N] = dict(records[N], cache="miss")
+        records = {N: cached_record(N, None, cache) for N in levels}
 
     if args.json:
         print(json.dumps([records[N] for N in levels], sort_keys=True))

@@ -93,7 +93,6 @@ def test_analyze_splits_unfactored_cofactor(monkeypatch):
     monkeypatch.setattr(zlinalg, "TRIAL_BOUND", 0)
     monkeypatch.setattr(zlinalg, "_local_smith", spy)
     classgroup._analyze.cache_clear()
-    classgroup._quotient_data.cache_clear()
     try:
         report = analyze(72)
         assert [name for name, _ in report.timings][-1] == "local_smith"
@@ -107,7 +106,51 @@ def test_analyze_splits_unfactored_cofactor(monkeypatch):
             assert not is_principal(72, div)
     finally:
         classgroup._analyze.cache_clear()
-        classgroup._quotient_data.cache_clear()
+
+
+@pytest.mark.parametrize("N", [13, 36, 72])
+def test_one_det_solve_per_level(monkeypatch, N):
+    # generators and coordinates read the solve that analyze kept; every
+    # cache of the module starts empty, so nothing is left from other tests
+    for obj in vars(classgroup).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    calls = []
+    det_solve = classgroup.det_solve
+
+    def spy(*args):
+        calls.append(args)
+        return det_solve(*args)
+
+    monkeypatch.setattr(classgroup, "det_solve", spy)
+    analyze(N)
+    assert len(calls) == 1
+    gens = generators(N)
+    for div, d in gens:
+        assert _order_of(N, div) == d
+        assert is_principal(N, [d * x for x in div])
+        assert not is_principal(N, div)
+    assert analyze(N).generators == gens
+    assert structure(N) == analyze(N).structure
+    assert len(calls) == 1
+
+
+def test_report_generators_property():
+    for N in (6, 13, 72):
+        assert analyze(N).generators == generators(N)
+    assert analyze(6).generators == []
+
+
+def test_class_coordinates_require_integer_entries():
+    D = [19, -19, 0, 0, 0, 0]
+    for bad in ([1.5, -1.5, 0, 0, 0, 0], [Fraction(1, 2), Fraction(-1, 2), 0, 0, 0, 0], [float(x) for x in D]):
+        with pytest.raises(ValueError, match="integers"):
+            class_coordinates(13, bad)
+        with pytest.raises(ValueError, match="integers"):
+            is_principal(13, bad)
+    # divisor(u).orders holds Fractions of denominator 1
+    assert class_coordinates(13, [Fraction(x) for x in D]) == class_coordinates(13, D) == [(0, 19)]
+    assert is_principal(13, [Fraction(x) for x in D])
 
 
 def test_divisor_matrix_36_verbatim():

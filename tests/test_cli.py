@@ -104,6 +104,28 @@ def test_table_rejects_bad_range(capsys):
     assert code == 2
 
 
+def test_table_rejects_nonpositive_jobs(capsys):
+    for jobs in ("0", "-1"):
+        code, out, err = run_cli(capsys, "table", "11..12", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert "--jobs" in err
+
+
+def test_table_jobs_gives_the_same_records(capsys):
+    def records(jobs):
+        code, out, _ = run_cli(capsys, "table", "5..30", "--json", "--no-cache", "--jobs", jobs)
+        assert code == 0
+        out = json.loads(out)
+        for rec in out:
+            del rec["timings"], rec["timestamps"]
+        return out
+
+    serial = records("1")
+    assert [rec["n"] for rec in serial] == list(range(5, 31))
+    assert records("2") == serial
+
+
 def test_table_rejects_generator(capsys):
     code, out, err = run_cli(capsys, "table", "11..12", "--generator", "2")
     assert code == 2
