@@ -61,15 +61,7 @@ class BasisElement:
         return self.display
 
 
-def _combine(level: int, pairs) -> dict[int, int]:
-    exps: dict[int, int] = {}
-    for g, e in pairs:
-        h = normalize_index(level, g)
-        exps[h] = exps.get(h, 0) + e
-    return {h: e for h, e in exps.items() if e}
-
-
-def _element(N: int, M: int, sub_exps: dict[int, int], branch: str, **params) -> BasisElement:
+def _element(N: int, M: int, sub_exps: dict | UnitProduct, branch: str, **params) -> BasisElement:
     d = N // M
     unit = UnitProduct(N, [(h * d, e) for h, e in sub_exps.items()])
     return BasisElement(
@@ -111,21 +103,21 @@ def _prime_power_basis(p: int, k: int, generator: int | None, branch: str) -> li
     bsq = normalize_index(p, inv_mod(a, p)) ** 2
     phi = [1] + [euler_phi(p**ell) // 2 for ell in range(1, k + 1)]
 
-    def quotient(M: int, i: int, shift: int, e: int) -> list[tuple[int, int]]:
+    def quotient(M: int, i: int, shift: int, e: int) -> UnitProduct:
         """E_{a^(i-1)}^e / E_{a^(i+shift-1)}^e at level M."""
-        return [(pow(a, i - 1, M), e), (pow(a, i + shift - 1, M), -e)]
+        return UnitProduct(M, [(pow(a, i - 1, M), e), (pow(a, i + shift - 1, M), -e)])
 
     top, shift = phi[k] - phi[k - 1], phi[k - 1]
     out = []
     for i in range(1, top):
-        exps = _combine(N, quotient(N, i, shift, 1) + quotient(N, i + 1, shift, -bsq))
-        out.append(_element(N, N, exps, branch, i=i))
-    out.append(_element(N, N, _combine(N, quotient(N, top, shift, p)), branch, i=top))
+        band = quotient(N, i, shift, 1) / quotient(N, i + 1, shift, bsq)
+        out.append(_element(N, N, band, branch, i=i))
+    out.append(_element(N, N, quotient(N, top, shift, p), branch, i=top))
     for ell in range(k - 1, 2 if p == 2 else 0, -1):
         M = p**ell
         shift = phi[ell - 1]
         for i in range(phi[k] - phi[ell] + 1, phi[k] - shift + 1):
-            out.append(_element(N, M, _combine(M, quotient(M, i, shift, 1)), branch, i=i))
+            out.append(_element(N, M, quotient(M, i, shift, 1), branch, i=i))
     return _checked_count(N, out, phi[k] - 1)
 
 
@@ -152,30 +144,18 @@ def basis_two_power(k: int, generator: int | None = None) -> list[BasisElement]:
     return _prime_power_basis(2, k, generator, "two-power")
 
 
-def _index_at(M: int, g: int, k: int) -> int:
-    """Unique index in [1, M/2] that is 0 mod k and +-g mod M/k."""
-    x = crt_pair(0, k, g % (M // k), M // k)
-    return normalize_index(M, x)
-
-
 def mobius_product(M: int, g: int) -> dict[int, int]:
     """Moebius-weighted product isolating the coprime index class of g.
 
     Exponent map of prod over squarefree-compatible divisors k of the
-    unsquared part of M (k != M) of E_{g(k)}^mu(k).  For squarefree M this
-    runs over all proper divisors.
+    unsquared part of M (k != M) of E_{g(k)}^mu(k), where g(k) is 0 mod k
+    and g mod M/k.  For squarefree M this runs over all proper divisors.
     """
     if gcd(g, M) != 1:
         raise ValueError(f"index {g} is not coprime to {M}")
     unsquared = prod(p for p, e in factorize(M) if e == 1)
-    exps: dict[int, int] = {}
-    for k in divisors(unsquared):
-        if k == M:
-            continue
-        mu = moebius(k)
-        idx = _index_at(M, g, k)
-        exps[idx] = exps.get(idx, 0) + mu
-    return {h: e for h, e in exps.items() if e}
+    pairs = [(crt_pair(0, k, g, M // k), moebius(k)) for k in divisors(unsquared) if k != M]
+    return UnitProduct(M, pairs).exponents
 
 
 def basis_squarefree(N: int, generator: int | None = None) -> list[BasisElement]:
@@ -187,13 +167,8 @@ def basis_squarefree(N: int, generator: int | None = None) -> list[BasisElement]
     if generator is not None:
         raise ValueError("generator override only applies to prime-power levels")
     S = LevelContext.of(N).cusps
-    out = []
-    for g1, g2 in zip(S, S[1:]):
-        exps = dict(mobius_product(N, g1))
-        for h, e in mobius_product(N, g2).items():
-            exps[h] = exps.get(h, 0) - e
-        exps = {h: e for h, e in exps.items() if e}
-        out.append(_element(N, N, exps, "squarefree", g=g1))
+    F = [UnitProduct(N, mobius_product(N, g)) for g in S]
+    out = [_element(N, N, f1 / f2, "squarefree", g=g1) for g1, f1, f2 in zip(S, F, F[1:])]
     return _checked_count(N, out, euler_phi(N) // 2 - 1)
 
 
@@ -208,13 +183,12 @@ def orbit_alternating_product(M: int, g: int, shifts: tuple[int, ...]) -> dict[i
     squared = [p for p, e in factorize(M) if e >= 2]
     if len(shifts) != len(squared):
         raise ValueError(f"expected {len(squared)} shifts for M={M}, got {len(shifts)}")
-    exps: dict[int, int] = {}
+    pairs = []
     for choice in product((0, 1), repeat=len(squared)):
         h = g + sum(n * m * (M // p) for n, m, p in zip(choice, shifts, squared))
         sign = -1 if sum(choice) % 2 else 1
-        for idx, e in mobius_product(M, h).items():
-            exps[idx] = exps.get(idx, 0) + sign * e
-    return {h: e for h, e in exps.items() if e}
+        pairs += [(idx, sign * e) for idx, e in mobius_product(M, h).items()]
+    return UnitProduct(M, pairs).exponents
 
 
 def _general_subbasis(M: int) -> list[tuple[dict[int, int], tuple[tuple[str, int], ...]]]:

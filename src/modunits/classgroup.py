@@ -19,7 +19,7 @@ from .basis import BasisElement, basis
 from .bernoulli import nonprincipal_quarter_product, yu_prefactor
 from .errors import ConsistencyError
 from .numtheory import is_prime
-from .siegel import LevelContext, divisor, is_gamma1_modular, orbit_condition_holds
+from .siegel import LevelContext, divisor_keys, is_gamma1_modular, orbit_condition_holds
 from .zlinalg import det_solve, smith_invariants_local, smith_transforms_local
 
 __all__ = [
@@ -129,12 +129,12 @@ def _divisor_rows(N: int, elements: tuple[BasisElement, ...]) -> list[list[int]]
             raise ConsistencyError(f"{el.display} fails the modularity congruences at N={N}")
         if composite and not orbit_condition_holds(el.unit):
             raise ConsistencyError(f"{el.display} violates the orbit condition at N={N}")
-        div = divisor(el.unit)
-        if not div.is_integral():
+        keys = divisor_keys(el.unit)
+        if any(k % (12 * N) for k in keys):
             raise ConsistencyError(f"{el.display} has a non-integral divisor at N={N}")
-        if div.degree != 0:
+        if sum(keys):
             raise ConsistencyError(f"{el.display} has divisor of nonzero degree at N={N}")
-        rows.append([int(x) for x in div.orders])
+        rows.append([k // (12 * N) for k in keys])
     return rows
 
 

@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Commands: classnum, structure, basis, primary, conjecture, table,
-primary-table, verify, qcheck.  Every command takes --json for structured
-output and --generator to override the canonical generator at prime-power
-levels; table refuses --generator with exit code 2.  Results can be cached
-as JSON files keyed by (N, generator, tool version, CACHE_REVISION); the
-default cache directory comes from MODUNITS_CACHE_DIR.  A cached record
-that does not match its key or whose invariants do not multiply to its
-class number is recomputed and overwritten.  Each level record printed
-says "cache": "hit" (loaded, with the timings of the run that stored it)
-or "miss" (computed by this run); the label is not stored.
+primary-table, verify, qcheck; each takes only the options it reads (an
+option it does not read is exit code 2).  All take --json for structured
+output; classnum, structure, basis, verify and qcheck take --generator, the
+generator override at prime-power levels.  classnum, structure, basis and
+table cache results as JSON files keyed by (N, generator, tool version,
+CACHE_REVISION) in --cache-dir or MODUNITS_CACHE_DIR, unless --no-cache.
+A cached record that does not match its key or whose invariants do not
+multiply to its class number is recomputed and overwritten.  Each level
+record printed says "cache": "hit" (loaded, with the timings of the run
+that stored it) or "miss" (computed by this run); the label is not stored.
 
 Exit codes: 0 success, 2 invalid arguments, 3 internal consistency failure
 or reference-table mismatch.
@@ -34,7 +35,7 @@ from .classgroup import (
     primary_notation,
 )
 from .corpus import primary_rows, structures
-from .numtheory import is_prime, unit_lead_key
+from .numtheory import is_prime
 from .qexpansion import expand_product
 from .siegel import genus_x1
 
@@ -55,20 +56,15 @@ def _utc_now() -> str:
 def build_record(N: int, generator: int | None = None) -> dict:
     """Full machine-readable result for one level (the cacheable unit)."""
     report = analyze(N, generator)
-    basis_json = []
-    q_ok = True
-    for el in report.basis:
-        basis_json.append(
-            {
-                "level": el.sublevel,
-                "scale": el.scale,
-                "exponents": {str(h): e for h, e in el.sub_exponents},
-                "display": el.display,
-            }
-        )
-        lead = sum(e * unit_lead_key(N, h) for h, e in el.unit.items())
-        if lead % (12 * N):
-            q_ok = False
+    basis_json = [
+        {
+            "level": el.sublevel,
+            "scale": el.scale,
+            "exponents": {str(h): e for h, e in el.sub_exponents},
+            "display": el.display,
+        }
+        for el in report.basis
+    ]
     return {
         "n": N,
         "generator": generator,
@@ -80,7 +76,9 @@ def build_record(N: int, generator: int | None = None) -> dict:
             "yu_vs_lattice": report.h_lattice == report.h_yu,
             # the orbit condition is only checked at composite levels
             "orbit": None if is_prime(N) else True,
-            "q_integrality": q_ok,
+            # the q-expansion lead is the divisor key at cusp 1/N, which
+            # analyze already required to be a multiple of 12N for every element
+            "q_integrality": True,
         },
         "timestamps": {"computed_at": _utc_now()},
         "timings": {stage: t for stage, t in report.timings},
@@ -163,25 +161,30 @@ def _invariants_str(invariants) -> str:
     return "[" + ", ".join(str(d) for d in invariants) + "]"
 
 
-def cmd_classnum(args, cache: Cache) -> int:
-    rec = cached_record(args.N, args.generator, cache)
+def _cache(args) -> Cache:
+    """The cache named by --cache-dir or MODUNITS_CACHE_DIR, off with --no-cache."""
+    return Cache(None if args.no_cache else (args.cache_dir or os.environ.get(CACHE_ENV)))
+
+
+def cmd_classnum(args) -> int:
+    rec = cached_record(args.N, args.generator, _cache(args))
     _emit(args, rec, rec["class_number"])
     return EXIT_OK
 
 
-def cmd_structure(args, cache: Cache) -> int:
-    rec = cached_record(args.N, args.generator, cache)
+def cmd_structure(args) -> int:
+    rec = cached_record(args.N, args.generator, _cache(args))
     _emit(args, rec, _invariants_str(rec["invariants"]))
     return EXIT_OK
 
 
-def cmd_basis(args, cache: Cache) -> int:
-    rec = cached_record(args.N, args.generator, cache)
+def cmd_basis(args) -> int:
+    rec = cached_record(args.N, args.generator, _cache(args))
     _emit(args, rec, "\n".join(el["display"] for el in rec["basis"]))
     return EXIT_OK
 
 
-def cmd_primary(args, cache: Cache) -> int:
+def cmd_primary(args) -> int:
     parts = p_primary(args.N, args.p)
     record = {
         "n": args.N,
@@ -193,7 +196,7 @@ def cmd_primary(args, cache: Cache) -> int:
     return EXIT_OK
 
 
-def cmd_conjecture(args, cache: Cache) -> int:
+def cmd_conjecture(args) -> int:
     rep = conjecture_report(args.p, args.n)
     record = {
         "p": rep.p,
@@ -234,15 +237,14 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def cmd_table(args, cache: Cache) -> int:
-    if args.generator is not None:
-        raise ValueError("table does not take --generator; it always uses the canonical generator")
+def cmd_table(args) -> int:
     lo, hi = _parse_range(args.range)
     if lo < 5:
         raise ValueError(f"levels start at 5, got {lo}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     levels = list(range(lo, hi + 1))
+    cache = _cache(args)
     if args.jobs > 1 and len(levels) > 1:
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(levels))) as pool:
             found = pool.map(cached_record, levels, repeat(None), repeat(cache))
@@ -278,7 +280,7 @@ def cmd_table(args, cache: Cache) -> int:
     return EXIT_INCONSISTENT if mismatches else EXIT_OK
 
 
-def cmd_primary_table(args, cache: Cache) -> int:
+def cmd_primary_table(args) -> int:
     rows = []
     for key, row in sorted(primary_rows().items(), key=lambda kv: kv[1].level):
         if row.level > args.max:
@@ -315,7 +317,7 @@ def cmd_primary_table(args, cache: Cache) -> int:
     return EXIT_INCONSISTENT if mismatches else EXIT_OK
 
 
-def cmd_verify(args, cache: Cache) -> int:
+def cmd_verify(args) -> int:
     report = analyze(args.N, args.generator)
     ok = report.h_lattice == report.h_yu == report.structure.order
     record = {
@@ -334,7 +336,7 @@ def cmd_verify(args, cache: Cache) -> int:
     return EXIT_OK if ok else EXIT_INCONSISTENT
 
 
-def cmd_qcheck(args, cache: Cache) -> int:
+def cmd_qcheck(args) -> int:
     report = analyze(args.N, args.generator)
     failures = 0
     lines = []
@@ -361,21 +363,23 @@ def cmd_qcheck(args, cache: Cache) -> int:
     return EXIT_OK if failures == 0 else EXIT_INCONSISTENT
 
 
-def _add_level_argument(p):
-    p.add_argument("N", type=int, help="level (>= 5)")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="structured output")
-    common.add_argument(
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true", help="structured output")
+    level = argparse.ArgumentParser(add_help=False)
+    level.add_argument("N", type=int, help="level (>= 5)")
+    generator = argparse.ArgumentParser(add_help=False)
+    generator.add_argument(
         "--generator",
         type=int,
         default=None,
         help="generator override for prime-power levels",
     )
-    common.add_argument("--cache-dir", default=None, help="result cache directory")
-    common.add_argument("--no-cache", action="store_true", help="disable the cache")
+    cached = argparse.ArgumentParser(add_help=False)
+    cached.add_argument("--cache-dir", default=None, help="result cache directory")
+    cached.add_argument("--no-cache", action="store_true", help="disable the cache")
+    one_level = [output, level, generator]
+    cached_level = one_level + [cached]
 
     parser = argparse.ArgumentParser(
         prog="modunits",
@@ -384,45 +388,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"modunits {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classnum", parents=[common], help="class number at level N")
-    _add_level_argument(p)
+    p = sub.add_parser("classnum", parents=cached_level, help="class number at level N")
     p.set_defaults(func=cmd_classnum)
 
-    p = sub.add_parser("structure", parents=[common], help="elementary divisors at level N")
-    _add_level_argument(p)
+    p = sub.add_parser("structure", parents=cached_level, help="elementary divisors at level N")
     p.set_defaults(func=cmd_structure)
 
-    p = sub.add_parser("basis", parents=[common], help="unit basis at level N")
-    _add_level_argument(p)
+    p = sub.add_parser("basis", parents=cached_level, help="unit basis at level N")
     p.set_defaults(func=cmd_basis)
 
-    p = sub.add_parser("primary", parents=[common], help="p-primary part at level N")
-    _add_level_argument(p)
+    p = sub.add_parser("primary", parents=[output, level], help="p-primary part at level N")
     p.add_argument("p", type=int, help="prime")
     p.set_defaults(func=cmd_primary)
 
-    p = sub.add_parser("conjecture", parents=[common], help="predicted vs computed p-primary shape")
+    p = sub.add_parser("conjecture", parents=[output], help="predicted vs computed p-primary shape")
     p.add_argument("p", type=int)
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_conjecture)
 
-    p = sub.add_parser("table", parents=[common], help="structure table over a range A..B")
+    p = sub.add_parser("table", parents=[output, cached], help="structure table over a range A..B")
     p.add_argument("range", help="inclusive range, e.g. 11..50")
     p.add_argument("--check", action="store_true", help="compare against the reference tables")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("primary-table", parents=[common], help="p-primary table for prime powers")
+    p = sub.add_parser("primary-table", parents=[output], help="p-primary table for prime powers")
     p.add_argument("--max", type=int, default=243, help="largest prime power")
     p.add_argument("--check", action="store_true")
     p.set_defaults(func=cmd_primary_table)
 
-    p = sub.add_parser("verify", parents=[common], help="dual-route class number check")
-    _add_level_argument(p)
+    p = sub.add_parser("verify", parents=one_level, help="dual-route class number check")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("qcheck", parents=[common], help="q-expansion checks of the basis")
-    _add_level_argument(p)
+    p = sub.add_parser("qcheck", parents=one_level, help="q-expansion checks of the basis")
     p.add_argument("--trunc", type=int, default=8, help="truncation exponent")
     p.set_defaults(func=cmd_qcheck)
 
@@ -430,12 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cache_dir = None if args.no_cache else (args.cache_dir or os.environ.get(CACHE_ENV))
-    cache = Cache(cache_dir)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, cache)
+        return args.func(args)
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT

@@ -20,6 +20,7 @@ __all__ = [
     "normalize_index",
     "lower_level_embed",
     "order_at_cusp",
+    "divisor_keys",
     "divisor",
     "is_gamma1_modular",
     "orbit",
@@ -39,7 +40,7 @@ def normalize_index(N: int, g: int) -> int:
     g %= N
     if g == 0:
         raise ValueError(f"index 0 is not a valid Siegel-unit index mod {N}")
-    return min(g, N - g)
+    return g if 2 * g <= N else N - g
 
 
 def lower_level_embed(M: int, g: int, d: int) -> int:
@@ -130,9 +131,7 @@ class UnitProduct:
             items = exponents.items() if hasattr(exponents, "items") else exponents
             for g, e in items:
                 h = normalize_index(level, g)
-                e = int(e)
-                if e:
-                    exps[h] = exps.get(h, 0) + e
+                exps[h] = exps.get(h, 0) + int(e)
         self._exps = {h: e for h, e in sorted(exps.items()) if e}
 
     @property
@@ -158,10 +157,7 @@ class UnitProduct:
     def __mul__(self, other: "UnitProduct") -> "UnitProduct":
         if self.level != other.level:
             raise ValueError("cannot multiply products of different levels")
-        exps = dict(self._exps)
-        for h, e in other._exps.items():
-            exps[h] = exps.get(h, 0) + e
-        return UnitProduct(self.level, exps)
+        return UnitProduct(self.level, [*self._exps.items(), *other._exps.items()])
 
     def __pow__(self, e: int) -> "UnitProduct":
         return UnitProduct(self.level, {h: k * e for h, k in self._exps.items()})
@@ -218,14 +214,23 @@ def order_at_cusp(N: int, g: int, a: int, c: int | None = None) -> Fraction:
     return Fraction(w, 2) * b2(Fraction(a * g, w))
 
 
+def divisor_keys(u: UnitProduct) -> tuple[int, ...]:
+    """The integers 12N * ord_{a/N}(u) = sum_h e_h * unit_lead_key(N, a*h), one
+    per width-one cusp a/N in ascending order.
+
+    >>> divisor_keys(UnitProduct(13, {1: 1}))
+    (97, 37, -11, -47, -71, -83)
+    """
+    N = u.level
+    return tuple(
+        sum(e * unit_lead_key(N, a * h) for h, e in u.items()) for a in LevelContext.of(N).cusps
+    )
+
+
 def divisor(u: UnitProduct) -> CuspDivisor:
     """Divisor of a unit product on the width-one cusps (exact orders)."""
     N = u.level
-    orders = tuple(
-        Fraction(sum(e * unit_lead_key(N, a * h) for h, e in u.items()), 12 * N)
-        for a in LevelContext.of(N).cusps
-    )
-    return CuspDivisor(N, orders)
+    return CuspDivisor(N, tuple(Fraction(k, 12 * N) for k in divisor_keys(u)))
 
 
 def is_gamma1_modular(u: UnitProduct) -> bool:

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modunits import classgroup, zlinalg
+from modunits.basis import BasisElement
 from modunits.bernoulli import bernoulli_matrix
 from modunits.classgroup import (
     ConjectureReport,
+    ConsistencyError,
     GroupStructure,
     analyze,
     class_coordinates,
@@ -27,7 +29,7 @@ from modunits.classgroup import (
 )
 from modunits.corpus import mixed_primary_rows
 from modunits.numtheory import euler_phi, factorize, order_in_units_mod_pm1
-from modunits.siegel import LevelContext, normalize_index
+from modunits.siegel import LevelContext, UnitProduct, normalize_index
 from modunits.zlinalg import det, hnf_pivots, lattice_index, mat_mul, snf
 
 
@@ -68,6 +70,28 @@ def test_analyze_one_cache_entry_per_level():
     assert analyze(13, None) is report
     assert analyze(13, generator=None) is report
     assert analyze(13, 7) is not report
+
+
+def _bare_element(unit):
+    return BasisElement(unit, "test", unit.level, 1, tuple(unit.items()))
+
+
+def test_divisor_rows_refuse_a_bad_element(monkeypatch):
+    def refused(unit, message):
+        with pytest.raises(ConsistencyError, match=message):
+            classgroup._divisor_rows(unit.level, (_bare_element(unit),))
+
+    refused(UnitProduct(13, {1: 1}), "fails the modularity congruences")
+    # the order of E1 at cusp 1/13 is unit_lead_key(13, 1) / 156 = 97/156
+    with monkeypatch.context() as m:
+        m.setattr(classgroup, "is_gamma1_modular", lambda unit: True)
+        refused(UnitProduct(13, {1: 1}), "non-integral divisor")
+    # modular with integral orders, but of degree -78
+    refused(UnitProduct(13, {1: 156}), "nonzero degree")
+    # modular at the composite level 21, but the orbit sums do not vanish
+    refused(UnitProduct(21, {1: 252}), "violates the orbit condition")
+    good = _bare_element(UnitProduct(13, {1: 1, 3: 4, 6: -5}))
+    assert classgroup._divisor_rows(13, (good,)) == [[3, -5, 1, 1, 2, -2]]
 
 
 def test_analyze_stage_names():

@@ -126,11 +126,33 @@ def test_table_jobs_gives_the_same_records(capsys):
     assert records("2") == serial
 
 
+def run_cli_refused(capsys, *argv):
+    """Exit status, stdout and stderr of argv that argparse refuses."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
 def test_table_rejects_generator(capsys):
-    code, out, err = run_cli(capsys, "table", "11..12", "--generator", "2")
+    code, out, err = run_cli_refused(capsys, "table", "11..12", "--generator", "2")
     assert code == 2
     assert out == ""
     assert "--generator" in err
+
+
+def test_subcommands_take_only_the_options_they_read(capsys):
+    for argv, flag in (
+        (("verify", "36", "--no-cache"), "--no-cache"),
+        (("primary", "32", "2", "--generator", "3"), "--generator"),
+    ):
+        code, out, err = run_cli_refused(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert flag in err
+    # the generator override stays on the commands that analyze one level
+    code, out, _ = run_cli(capsys, "verify", "13", "--generator", "7")
+    assert (code, out.split()[-1]) == (0, "ok")
 
 
 def test_primary_table_check(capsys):

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -143,3 +143,22 @@ def test_primitive_root():
         g = primitive_root(q)
         phi = euler_phi(q)
         assert len({pow(g, t, q) for t in range(phi)}) == phi
+
+
+def test_is_prime_matches_trial_division():
+    def by_trial(n):
+        return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+    assert [n for n in range(-3, 10**5) if is_prime(n) != by_trial(n)] == []
+    assert is_prime(2**61 - 1)
+    # strong pseudoprimes to the bases 2..31 and 2..37; only base 41 catches the second
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+
+
+def test_p_primary_at_a_large_prime_is_fast():
+    from modunits.classgroup import p_primary
+
+    t0 = time.perf_counter()
+    assert p_primary(13, 2**61 - 1) == {}
+    assert time.perf_counter() - t0 < 0.5

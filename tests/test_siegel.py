@@ -9,6 +9,7 @@ from modunits.siegel import (
     LevelContext,
     UnitProduct,
     divisor,
+    divisor_keys,
     genus_x1,
     is_gamma1_modular,
     lower_level_embed,
@@ -93,6 +94,7 @@ def test_divisor_is_homomorphism():
             d12 = divisor(u1 * u2)
             d1, d2 = divisor(u1), divisor(u2)
             assert d12.orders == tuple(x + y for x, y in zip(d1.orders, d2.orders))
+            assert divisor_keys(u1) == tuple(12 * N * x for x in d1.orders)
             # the integer kernel against the Fraction reference formula
             assert d1.orders == tuple(
                 sum(e * order_at_cusp(N, h, a) for h, e in u1.items())
