@@ -63,7 +63,10 @@ class BasisElement:
 
 def _element(N: int, M: int, sub_exps: dict | UnitProduct, branch: str, **params) -> BasisElement:
     d = N // M
-    unit = UnitProduct(N, [(h * d, e) for h, e in sub_exps.items()])
+    if d == 1 and isinstance(sub_exps, UnitProduct):
+        unit = sub_exps  # already normalised at level N
+    else:
+        unit = UnitProduct(N, [(h * d, e) for h, e in sub_exps.items()])
     return BasisElement(
         unit=unit,
         branch=branch,

@@ -194,24 +194,28 @@ def _analyze(N: int, generator: int | None) -> ClassGroupReport:
     rows = _divisor_rows(N, elements)
     timings.append(("divisors", time.perf_counter() - t0))
 
+    t0 = time.perf_counter()
+    h_yu = _class_number_yu(N)
+    timings.append(("analytic", time.perf_counter() - t0))
+
     # the partial-sum coordinates of the rows form a square matrix whose
-    # |det| is the lattice index; the same elimination solves one system
+    # |det| is the lattice index; the same elimination solves one system,
+    # and with pivots coprime to h it keeps the trailing block that holds
+    # the Smith form at every prime of h.  h only steers the pivots: det
+    # and y are exact whatever they are, and the block is read only once
+    # the two routes agree
     t0 = time.perf_counter()
     coords = _partial_sum_coords(rows)
-    det, y = det_solve(coords, _solve_column(len(coords))) if coords else (1, [])
+    det, y, block = det_solve(coords, _solve_column(len(coords)), h_yu) if coords else (1, [], [])
     timings.append(("det_solve", time.perf_counter() - t0))
     h_lat = abs(det)
     if h_lat == 0:
         raise DegenerateRankError(f"basis divisors at N={N} are linearly dependent")
-
-    t0 = time.perf_counter()
-    h_yu = _class_number_yu(N)
-    timings.append(("analytic", time.perf_counter() - t0))
     if h_lat != h_yu:
         raise ConsistencyError(f"N={N}: lattice index {h_lat} != analytic class number {h_yu}")
 
     t0 = time.perf_counter()
-    invariants = smith_invariants_local(coords, det, y) if coords else []
+    invariants = smith_invariants_local(block, det, y) if block else []
     timings.append(("local_smith", time.perf_counter() - t0))
     st = GroupStructure(tuple(invariants))
     if st.order != h_yu:

@@ -166,7 +166,9 @@ class UnitProduct:
         return self**-1
 
     def __truediv__(self, other: "UnitProduct") -> "UnitProduct":
-        return self * other.inverse()
+        if self.level != other.level:
+            raise ValueError("cannot divide products of different levels")
+        return UnitProduct(self.level, [*self._exps.items(), *((h, -e) for h, e in other._exps.items())])
 
     def __repr__(self) -> str:
         return f"UnitProduct({self.level}, {self._exps})"

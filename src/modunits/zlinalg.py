@@ -2,20 +2,25 @@
 
 Dense row-major matrices are plain lists of lists.  Determinants use
 fraction-free (Bareiss) elimination; `det_solve` runs the same elimination
-on the matrix extended by one column b and also returns adj(m)*b.  The
-class-group pipeline finds Smith invariants from that solve
+on the matrix extended by one column b and also returns adj(m)*b.  Given a
+number `avoid`, that one elimination takes pivots coprime to it while it
+can (down the column, else along the row), and at the first step where it
+cannot it keeps the trailing block: at every prime of `avoid` the block has
+the Smith form of m less its unit part (Sylvester's identity).  The
+class-group pipeline passes avoid = |det| (known from the analytic route)
+and finds Smith invariants from the solve and that block
 (`smith_invariants_local`): the denominator s of m^{-1} b divides the
 largest invariant, every prime of |det| that misses |det|/s has a cyclic
 part, and |det|/s is covered by moduli r, each with its own elimination over
 Z/r^K.  The moduli are the primes found by bounded trial division and the
 cofactor left over; a composite modulus is split whenever a pivot's unit
 part shares a factor with it (dynamic evaluation), so nothing has to be
-factored.  The same elimination, with its column steps mirrored on a
-transform V and its inverse W, gives the coordinates and generators of
-Z^n / rowspace(m) (`smith_transforms_local`).  The unbounded Hermite and
-Smith normal forms (`hnf`, `snf_with_transforms`) use integer row/column
-reduction with smallest-pivot selection and serve as reference routines
-for the tests.  All results are exact.
+factored.  The same local elimination of the whole matrix, with its column
+steps mirrored on a transform V and its inverse W, gives the coordinates
+and generators of Z^n / rowspace(m) (`smith_transforms_local`).  The
+unbounded Hermite and Smith normal forms (`hnf`, `snf_with_transforms`) use
+integer row/column reduction with smallest-pivot selection and serve as
+reference routines for the tests.  All results are exact.
 """
 
 from fractions import Fraction
@@ -47,26 +52,56 @@ def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def _bareiss(a: IntMatrix) -> int:
-    """Fraction-free forward elimination of the n x m matrix a (m >= n), in
-    place; returns the determinant of its leading n x n block.
+def _unit(x: int, avoid: int) -> bool:
+    return x != 0 and gcd(x, avoid) == 1
 
-    Rows may be swapped.  On a nonzero return a is upper triangular in its
-    leading block, row i is a rational combination of the input rows, and
-    a[i][i] is the leading (i+1) x (i+1) minor of the row-swapped input.
+
+def _bareiss(a: IntMatrix, avoid: int = 1) -> tuple[int, list[int], IntMatrix]:
+    """Fraction-free forward elimination of the n x m matrix a (m >= n), in
+    place; returns (d, cols, block), where d is the determinant of the
+    leading n x n block of the input.
+
+    While it can, step k takes a pivot coprime to `avoid`: a[k][k], else the
+    first such entry down column k (a row swap), else the first along row k
+    (a swap of two leading columns; cols[j] is the input column now at j).
+    At the first step with none, it copies the trailing block a[k:][k:n] to
+    `block` and goes on as plain Bareiss; `block` is [] if no step lacks
+    one.  By Sylvester's identity the block is prev*S, where S is the Schur
+    complement of the leading k x k block and prev, its determinant, is
+    coprime to `avoid`.  So at every prime r of `avoid` the Smith form of
+    the input over Z_(r) is I_k + the Smith form of `block`.  With avoid = 1
+    every nonzero entry qualifies and the elimination is plain Bareiss.
+
+    On a nonzero d, a is upper triangular in its leading block, row i is a
+    rational combination of the input rows, and a[i][i] is the leading
+    (i+1) x (i+1) minor of the row- and column-swapped input.
     """
     n = len(a)
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+    cols = list(range(n))
+    block = None
+    for k in range(n):
+        if not any(a[i][k] for i in range(k, n)):
+            return 0, cols, []  # column k is 0 from row k down
+        i = None  # the row to swap in
+        if block is None and not _unit(a[k][k], avoid):
+            i = next((i for i in range(k + 1, n) if _unit(a[i][k], avoid)), None)
+            j = None if i is not None else next((j for j in range(k + 1, n) if _unit(a[k][j], avoid)), None)
+            if j is not None:
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
+                cols[k], cols[j] = cols[j], cols[k]
+                sign = -sign
+            elif i is None:
+                block = [row[k:n] for row in a[k:]]
+        if i is None and a[k][k] == 0:
+            i = next(i for i in range(k + 1, n) if a[i][k])
+        if i is not None:
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        if k == n - 1:
+            break
         pivot = a[k][k]
         for i in range(k + 1, n):
             aik = a[i][k]
@@ -75,7 +110,7 @@ def _bareiss(a: IntMatrix) -> int:
                 row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign * a[n - 1][n - 1], cols, block or []
 
 
 def det_int(m) -> int:
@@ -83,39 +118,57 @@ def det_int(m) -> int:
     a = _copy_int(m)
     if len(a[0]) != len(a):
         raise ValueError("determinant requires a square matrix")
-    return _bareiss(a)
+    return _bareiss(a)[0]
 
 
-def det_solve(m, b) -> tuple[int, list[int] | None]:
-    """(det m, adj(m)*b) for a square integer matrix m and an integer column
-    b, from one Bareiss elimination of [m | b]; the second item is None when
-    det m == 0.
+def det_solve(m, b, avoid: int = 1) -> tuple[int, list[int] | None, IntMatrix | None]:
+    """(det m, adj(m)*b, block) for a square integer matrix m and an integer
+    column b, from one Bareiss elimination of [m | b]; the last two items
+    are None when det m == 0.
 
-    adj(m)*b = det(m) * m^{-1} b, found by fraction-free back substitution.
+    adj(m)*b = det(m) * m^{-1} b, found by fraction-free back substitution
+    and given in the input column order.  Step k takes a pivot coprime to
+    the positive integer `avoid` from column k or row k while there is one;
+    the trailing block of the elimination at the first step where there is
+    none has, at every prime r of `avoid`, the Smith form of m over Z_(r)
+    less its unit part, and it is [] if every step finds one.  So with
+    avoid = |det m|, `smith_invariants_local(block, det, y)` is the Smith
+    structure of m.  With the default avoid = 1 the block is [] and the
+    pivots are plain Bareiss.  det and adj(m)*b do not depend on `avoid`.
 
     >>> det_solve([[2, 0], [0, 3]], [1, 1])
-    (6, [3, 2])
+    (6, [3, 2], [])
+
+    Here no entry of column 0 is odd, so columns 0 and 1 swap; the second
+    pivot, -4, is even, and the 1 x 1 block holds the whole 2-part:
+
+    >>> det_solve([[2, 1], [4, 4]], [1, 1], 4)
+    (4, [3, -2], [[-4]])
     """
     if len(b) != len(m):
         raise ValueError("det_solve requires a column as long as the matrix")
+    if avoid < 1:
+        raise ValueError(f"det_solve requires a positive avoid, got {avoid}")
     a = _copy_int([list(row) + [x] for row, x in zip(m, b)])
     n = len(a)
     if len(a[0]) != n + 1:
         raise ValueError("det_solve requires a square matrix")
-    d = _bareiss(a)
+    d, cols, block = _bareiss(a, avoid)
     if d == 0:
-        return 0, None
-    # the eliminated rows say sum_j a[i][j] x_j = a[i][n]; with y = d' x for
-    # d' = a[n-1][n-1] = +-d every division below is exact (Cramer)
+        return 0, None, None
+    # the eliminated rows say sum_j a[i][j] x_j = a[i][n] in the swapped
+    # column order; with y = d' x for d' = a[n-1][n-1] = +-d every division
+    # below is exact (Cramer)
     top = a[n - 1][n - 1]
-    y = [0] * n
+    x = [0] * n
     for i in range(n - 1, -1, -1):
         row = a[i]
-        acc = top * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
-        y[i] = acc // row[i]
-    if top != d:
-        y = [-x for x in y]
-    return d, y
+        acc = top * row[n] - sum(row[j] * x[j] for j in range(i + 1, n))
+        x[i] = acc // row[i]
+    y = [0] * n
+    for j, c in enumerate(cols):
+        y[c] = x[j] if top == d else -x[j]
+    return d, y, block
 
 
 def det(m) -> Fraction:
@@ -460,6 +513,8 @@ def smith_invariants_local(m, det: int, y: list[int]) -> list[int]:
     `TRIAL_BOUND` and the cofactor, each with one elimination mod
     r^(v_r(det)+1); a modulus is split whenever det or a pivot shows a
     factor of it (dynamic evaluation).  An unlucky b only adds moduli.
+    The eliminations read m only at the primes of |det|, so m may as well
+    be the block that `det_solve(m, b, abs(det))` keeps.
 
     >>> smith_invariants_local([[2, 0], [0, 6]], 12, [6, 2])
     [2, 6]
@@ -487,7 +542,7 @@ def smith_invariants_bounded(m, annihilator: int) -> list[int]:
     """Smith invariants of a nonsingular square integer matrix, one per
     column with units included, ascending, by `det_solve` and
     `smith_invariants_local`; the annihilator is only checked."""
-    det, y = det_solve(m, [1] * len(m))
+    det, y, _ = det_solve(m, [1] * len(m))
     if det == 0 or annihilator < 1:
         raise ValueError("requires a nonsingular matrix and a positive annihilator")
     out = smith_invariants_local(m, det, y)

@@ -95,7 +95,7 @@ def test_divisor_rows_refuse_a_bad_element(monkeypatch):
 
 
 def test_analyze_stage_names():
-    stages = ("basis", "divisors", "det_solve", "analytic", "local_smith")
+    stages = ("basis", "divisors", "analytic", "det_solve", "local_smith")
     for N in (13, 36, 72):
         timings = analyze(N).timings
         assert tuple(name for name, _ in timings) == stages
@@ -128,6 +128,48 @@ def test_analyze_splits_unfactored_cofactor(monkeypatch):
             assert _order_of(72, div) == d
             assert is_principal(72, [d * x for x in div])
             assert not is_principal(72, div)
+    finally:
+        classgroup._analyze.cache_clear()
+
+
+@pytest.mark.parametrize("N", [72, 169, 243])
+def test_local_smith_runs_on_the_kept_block(monkeypatch, N):
+    # analyze's solve keeps pivots coprime to h, so the local step starts
+    # past them, on a trailing block smaller than the partial-sum matrix
+    expected = analyze(N)
+    sizes = []
+    local_smith = zlinalg._local_smith
+
+    def spy(m, *args):
+        sizes.append(len(m))
+        return local_smith(m, *args)
+
+    monkeypatch.setattr(zlinalg, "_local_smith", spy)
+    classgroup._analyze.cache_clear()
+    try:
+        assert analyze(N).structure == expected.structure
+    finally:
+        classgroup._analyze.cache_clear()
+    assert sizes and max(sizes) < len(expected.matrix), (sizes, len(expected.matrix))
+
+
+def test_a_wrong_kept_block_fails_the_exponent_sum(monkeypatch):
+    # one row of the block times a prime r of h/s = gcd(h, y) adds 1 to the
+    # local exponents mod r, which then no longer sum to v_r(h)
+    N = 72
+    det, y = analyze(N).solve
+    r = min(p for p, _ in factorize(gcd(det, *y)))
+    det_solve = classgroup.det_solve
+
+    def spoiled(*args):
+        d, v, block = det_solve(*args)
+        return d, v, [[r * x for x in block[0]]] + block[1:]
+
+    monkeypatch.setattr(classgroup, "det_solve", spoiled)
+    classgroup._analyze.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match=f"local Smith exponents mod {r} "):
+            analyze(N)
     finally:
         classgroup._analyze.cache_clear()
 

@@ -177,10 +177,10 @@ def test_det_solve_is_adjugate_times_column():
         n = rng.randrange(1, 6)
         m = _random_matrix(rng, n, n)
         b = [rng.randrange(-50, 51) for _ in range(n)]
-        d, y = det_solve(m, b)
+        d, y, block = det_solve(m, b)
         assert d == det_int(m)
         if d == 0:
-            assert y is None
+            assert y is None and block is None
         else:
             assert [sum(x * v for x, v in zip(row, y)) for row in m] == [d * x for x in b]
     with pytest.raises(ValueError):
@@ -190,7 +190,7 @@ def test_det_solve_is_adjugate_times_column():
 
 
 def _local_route(m, b):
-    d, y = det_solve(m, b)
+    d, y, _ = det_solve(m, b)
     return smith_invariants_local(m, d, y)
 
 
@@ -222,7 +222,7 @@ def test_smith_transforms_local_properties(bound, case):
     m, b = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zlinalg, "TRIAL_BOUND", bound)
-        inv, F, G = smith_transforms_local(m, *det_solve(m, b))
+        inv, F, G = smith_transforms_local(m, *det_solve(m, b)[:2])
     assert inv == [d for d in smith_invariants(m) if d != 1]
     for d, f in zip(inv, F):
         assert all(sum(x * c for x, c in zip(row, f)) % d == 0 for row in m)
@@ -230,6 +230,42 @@ def test_smith_transforms_local_properties(bound, case):
         for j, (d, f) in enumerate(zip(inv, F)):
             assert (sum(x * c for x, c in zip(g, f)) - (i == j)) % d == 0
         assert all(2 * abs(x) <= inv[-1] for x in g)
+
+
+# pivots coprime to |det| change neither det nor y, and the block kept at
+# the first step without one carries the whole Smith form
+@pytest.mark.parametrize("bound", [zlinalg.TRIAL_BOUND, 0])
+@settings(max_examples=100, deadline=None)
+@given(nonsingular_with_column())
+def test_det_solve_kept_block_gives_the_structure(bound, case):
+    m, b = case
+    d, y, block = det_solve(m, b, abs(det_int(m)))
+    assert (d, y) == det_solve(m, b)[:2]
+    if abs(d) == 1:
+        assert block == []
+    else:
+        assert len(block) == len(block[0]) <= len(m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zlinalg, "TRIAL_BOUND", bound)
+        assert smith_invariants_local(block, d, y) == snf(m)
+
+
+def test_det_solve_swaps_rows_and_columns_for_a_coprime_pivot():
+    # avoid = 4: the pivot 2 is even, so step 0 swaps in row 1 (pivot 1);
+    # step 1 meets a[1][1] = 2 over an even column and swaps in column 2
+    # (pivot 1); step 2 meets -4 and keeps it as the block
+    m = [[2, 2, 1], [1, 0, 0], [0, 2, 3]]
+    b = [1, 2, 3]
+    a = [row + [x] for row, x in zip(m, b)]
+    d, cols, block = zlinalg._bareiss(a, 4)
+    assert (d, cols, block) == (-4, [0, 2, 1], [[-4]])
+    d, y, block = det_solve(m, b, 4)
+    assert d == det_int(m) == -4
+    assert [sum(x * v for x, v in zip(row, y)) for row in m] == [d * x for x in b]
+    assert (d, y) == det_solve(m, b)[:2]
+    assert smith_invariants_local(block, d, y) == snf(m) == [4]
+    with pytest.raises(ValueError):
+        det_solve(m, b, 0)
 
 
 def test_smith_invariants_local_zero_column_sends_every_prime_local():
