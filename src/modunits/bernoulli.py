@@ -84,8 +84,10 @@ def b2_chi0(N: int) -> Fraction:
     """
     if N < 3:
         raise ValueError(f"b2_chi0 requires N >= 3, got {N}")
-    keys = (unit_lead_key(N, a) for a in range(1, N) if gcd(a, N) == 1)
-    return Fraction(sum(keys), 6 * N)
+    # a and N - a share a key, and for N > 2 the units mod N pair off as (a, N - a)
+    # with a one of the cusps, so the sum over the units is twice the sum over the cusps
+    ctx = LevelContext.of(N)
+    return Fraction(sum(ctx.lead_keys[a] for a in ctx.cusps), 3 * N)
 
 
 def cyclotomic(d: int) -> tuple[int, ...]:
@@ -194,8 +196,9 @@ def nonprincipal_quarter_product(N: int) -> Fraction:
     >>> nonprincipal_quarter_product(13) * yu_prefactor(13)
     Fraction(19, 1)
     """
-    cusps = LevelContext.of(N).cusps
-    keys = [unit_lead_key(N, a) for a in cusps]
+    ctx = LevelContext.of(N)
+    cusps = ctx.cusps
+    keys = [ctx.lead_keys[a] for a in cusps]
     orbits = _even_character_orbits(N)
     covered = sum(euler_phi(d) for d, _ in orbits)
     if covered != len(cusps) - 1:

@@ -19,7 +19,7 @@ from .basis import BasisElement, basis
 from .bernoulli import nonprincipal_quarter_product, yu_prefactor
 from .errors import ConsistencyError
 from .numtheory import is_prime
-from .siegel import LevelContext, divisor_keys, is_gamma1_modular, orbit_condition_holds
+from .siegel import LevelContext, divisor_key_rows, is_gamma1_modular, orbit_condition_holds
 from .zlinalg import det_solve, smith_invariants_local, smith_transforms_local
 
 __all__ = [
@@ -124,12 +124,11 @@ class ClassGroupReport:
 def _divisor_rows(N: int, elements: tuple[BasisElement, ...]) -> list[list[int]]:
     composite = not is_prime(N)
     rows = []
-    for el in elements:
+    for el, keys in zip(elements, divisor_key_rows([el.unit for el in elements])):
         if not is_gamma1_modular(el.unit):
             raise ConsistencyError(f"{el.display} fails the modularity congruences at N={N}")
         if composite and not orbit_condition_holds(el.unit):
             raise ConsistencyError(f"{el.display} violates the orbit condition at N={N}")
-        keys = divisor_keys(el.unit)
         if any(k % (12 * N) for k in keys):
             raise ConsistencyError(f"{el.display} has a non-integral divisor at N={N}")
         if sum(keys):

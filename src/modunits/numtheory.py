@@ -5,7 +5,7 @@ values are `fractions.Fraction` (always in lowest terms, denominator >= 1).
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, log
 
 #: second Bernoulli polynomial constant term
 _ONE_SIXTH = Fraction(1, 6)
@@ -65,13 +65,28 @@ def factorize(n: int) -> list[tuple[int, int]]:
 #: Miller-Rabin to these bases is exact below 3 317 044 064 679 887 385 961 981
 #: (Sorenson and Webster, Math. Comp. 86 (2017))
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981
+
+#: trial-division bound for the factored parts of n - 1 in `is_prime` and of
+#: |det| / s in `zlinalg.smith_invariants_local`
+TRIAL_BOUND = 1 << 16
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality: Miller-Rabin below the bound of its bases, `trial_factor` above.
+    """Exact primality.
 
-    >>> is_prime(2**61 - 1), is_prime(3825123056546413051)
-    (True, False)
+    Miller-Rabin to the bases 2, ..., 41 rejects every composite it meets
+    and is a proof below the bound of its bases.  Above that bound a number
+    that passes every base is proved prime by Pocklington's theorem: with
+    n - 1 = F * R, F > sqrt(n) fully factored, n is prime if for each prime
+    q | F some a has a^(n-1) = 1 and gcd(a^((n-1)/q) - 1, n) = 1 (mod n).
+    F is the part of n - 1 that `trial_factor` factors up to `TRIAL_BOUND`.
+    Only when that part is at most sqrt(n) does n go to `trial_factor`,
+    after Miller-Rabin to every base below 2 ln(n)^2 (which, under GRH,
+    rejects every composite; Bach, Math. Comp. 55 (1990)).
+
+    >>> is_prime(2**61 - 1), is_prime(3825123056546413051), is_prime(2**89 - 1)
+    (True, False, True)
     """
     if n < 2:
         return False
@@ -80,11 +95,16 @@ def is_prime(n: int) -> bool:
             return n == p
     if n < 43 * 43:  # a composite below 43**2 has a prime factor up to 41
         return True
-    if n >= 3317044064679887385961981:
-        return trial_factor(n)[0] == [(n, 1)]
+    if not _strong_probable_prime(n, _MILLER_RABIN_BASES):
+        return False
+    return n < _MILLER_RABIN_EXACT_BELOW or _pocklington(n)
+
+
+def _strong_probable_prime(n: int, bases) -> bool:
+    # Miller-Rabin of an odd n > 2 to each base; False proves n composite
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
-    for a in _MILLER_RABIN_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -94,6 +114,32 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    return True
+
+
+def _pocklington(n: int) -> bool:
+    # n > 43**2 is odd and passed every Miller-Rabin base
+    factors, _ = trial_factor(n - 1, TRIAL_BOUND)
+    F = 1
+    for q, e in factors:
+        F *= q**e
+    if F * F <= n:
+        if not _strong_probable_prime(n, range(2, int(2 * log(n) ** 2) + 1)):
+            return False
+        return trial_factor(n)[0] == [(n, 1)]
+    for q, _ in factors:
+        # for prime n this ends at the least q-th power non-residue; for
+        # composite n by a = its least prime factor, where a^(n-1) != 1 mod n
+        a = 2
+        while True:
+            if pow(a, n - 1, n) != 1:
+                return False
+            g = gcd(pow(a, (n - 1) // q, n) - 1, n)
+            if g == 1:
+                break
+            if g != n:
+                return False
+            a += 1
     return True
 
 

@@ -5,13 +5,13 @@ units is just a sparse exponent vector over the representative indices
 h = 1, ..., floor(N/2) at a fixed level N.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 from .errors import ConsistencyError
-from .numtheory import b2, divisors, euler_phi, factorize, is_prime, unit_lead_key
+from .numtheory import b2, divisors, euler_phi, factorize, unit_lead_key
 
 __all__ = [
     "LevelContext",
@@ -20,6 +20,7 @@ __all__ = [
     "normalize_index",
     "lower_level_embed",
     "order_at_cusp",
+    "divisor_key_rows",
     "divisor_keys",
     "divisor",
     "is_gamma1_modular",
@@ -82,12 +83,23 @@ def unit_indices(N: int) -> list[int]:
 
 @dataclass(frozen=True)
 class LevelContext:
-    """Level N with its factorization, cusp numerators, and unit indices."""
+    """Level N with its factorization, cusp numerators, unit indices, and the
+    tables that every unit product at level N reads.
+
+    `lead_keys[g]` is `unit_lead_key(N, g)` for 1 <= g < N (index 0 is None),
+    so the order of g_h at the cusp a/N is lead_keys[a*h % N] / (12N).
+    `orbit_classes` holds one table per prime p of `factorization`, in that
+    order: entry h (1 <= h <= N/2) is the least index of `orbit(N, h, p)`,
+    the class of h under shifts by N/p and sign (Kubert-Lang distribution
+    relations); entry 0 is unused.
+    """
 
     N: int
     factorization: tuple[tuple[int, int], ...]
     cusps: tuple[int, ...]
     indices: tuple[int, ...]
+    lead_keys: tuple[int | None, ...] = field(repr=False, compare=False)
+    orbit_classes: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     @classmethod
     def of(cls, N: int) -> "LevelContext":
@@ -98,15 +110,27 @@ class LevelContext:
         return len(self.cusps)
 
 
+def _orbit_classes(N: int, p: int) -> tuple[int, ...]:
+    classes = [0] * (N // 2 + 1)
+    for h in range(1, N // 2 + 1):
+        if not classes[h]:
+            for g in orbit(N, h, p):
+                classes[g] = h
+    return tuple(classes)
+
+
 @lru_cache(maxsize=None)
 def _level_context(N: int) -> LevelContext:
-    if N < 5:
-        raise ValueError(f"level must be >= 5, got {N}")
+    if N < 3:
+        raise ValueError(f"level must be >= 3, got {N}")
+    factorization = tuple(factorize(N))
     ctx = LevelContext(
         N=N,
-        factorization=tuple(factorize(N)),
+        factorization=factorization,
         cusps=tuple(cusp_list(N)),
         indices=tuple(unit_indices(N)),
+        lead_keys=(None, *(unit_lead_key(N, g) for g in range(1, N))),
+        orbit_classes=tuple(_orbit_classes(N, p) for p, _ in factorization),
     )
     if len(ctx.cusps) != euler_phi(N) // 2 or len(ctx.indices) != N // 2:
         raise ConsistencyError(f"N={N}: {len(ctx.cusps)} cusps and {len(ctx.indices)} indices")
@@ -216,6 +240,37 @@ def order_at_cusp(N: int, g: int, a: int, c: int | None = None) -> Fraction:
     return Fraction(w, 2) * b2(Fraction(a * g, w))
 
 
+def divisor_key_rows(units) -> list[tuple[int, ...]]:
+    """`divisor_keys` of each unit product in `units`, all of one level.
+
+    The key row of an index h, (lead_keys[a*h % N] for each cusp a), is
+    built once per call and shared by every product that uses h; a unit's
+    keys are the sum of e * row over its exponents.
+
+    >>> divisor_key_rows([UnitProduct(13, {1: 1}), UnitProduct(13, {1: 2, 2: -1})])
+    [(97, 37, -11, -47, -71, -83), (157, 121, 61, -23, -131, -263)]
+    """
+    units = list(units)
+    if not units:
+        return []
+    N = units[0].level
+    ctx = LevelContext.of(N)
+    lead, cusps = ctx.lead_keys, ctx.cusps
+    rows: dict[int, list[int]] = {}
+    out = []
+    for u in units:
+        if u.level != N:
+            raise ValueError(f"divisor rows need one level, got {N} and {u.level}")
+        terms = []
+        for h, e in u.items():
+            row = rows.get(h)
+            if row is None:
+                row = rows[h] = [lead[a * h % N] for a in cusps]
+            terms.append([e * k for k in row])
+        out.append(tuple(map(sum, zip(*terms))) if terms else (0,) * len(cusps))
+    return out
+
+
 def divisor_keys(u: UnitProduct) -> tuple[int, ...]:
     """The integers 12N * ord_{a/N}(u) = sum_h e_h * unit_lead_key(N, a*h), one
     per width-one cusp a/N in ascending order.
@@ -223,10 +278,7 @@ def divisor_keys(u: UnitProduct) -> tuple[int, ...]:
     >>> divisor_keys(UnitProduct(13, {1: 1}))
     (97, 37, -11, -47, -71, -83)
     """
-    N = u.level
-    return tuple(
-        sum(e * unit_lead_key(N, a * h) for h, e in u.items()) for a in LevelContext.of(N).cusps
-    )
+    return divisor_key_rows([u])[0]
 
 
 def divisor(u: UnitProduct) -> CuspDivisor:
@@ -278,21 +330,19 @@ def orbit_condition_holds(u: UnitProduct) -> bool:
     For every prime p | N and every index class a, the exponents summed
     over the orbit {a + k*N/p} must vanish.  Defined for composite N only;
     for a prime power the test is still meaningful but advisory (orders
-    can stay fractional).
+    can stay fractional).  The orbits are the level's `orbit_classes`.
     """
     N = u.level
-    if is_prime(N):
+    ctx = LevelContext.of(N)
+    if ctx.factorization == ((N, 1),):
         raise ValueError("orbit condition is undefined for prime level")
-    exps = u._exps
-    for p, _ in factorize(N):
-        seen: set[int] = set()
-        for h in range(1, N // 2 + 1):
-            if h in seen:
-                continue
-            orb = orbit(N, h, p)
-            seen.update(orb)
-            if sum(exps.get(g, 0) for g in orb) != 0:
-                return False
+    for classes in ctx.orbit_classes:
+        sums: dict[int, int] = {}
+        for h, e in u.items():
+            c = classes[h]
+            sums[c] = sums.get(c, 0) + e
+        if any(sums.values()):
+            return False
     return True
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ConsistencyError
-from .numtheory import trial_factor
+from .numtheory import TRIAL_BOUND, trial_factor
 
 IntMatrix = list[list[int]]
 RatMatrix = list[list[Fraction]]
@@ -348,10 +348,6 @@ def snf(m) -> list[int]:
 def _balanced(x: int, D: int) -> int:
     x %= D
     return x - D if 2 * x > D else x
-
-
-#: trial-division bound for |det| / s in `smith_invariants_local`
-TRIAL_BOUND = 1 << 16
 
 
 def _local_smith(m, r: int, K: int, track: bool):

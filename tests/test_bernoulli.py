@@ -70,11 +70,15 @@ def test_entry_denominators_divide_12N():
 def test_b2_chi0_values():
     assert b2_chi0(13) == -2
     assert b2_chi0(6) == Fraction(1, 3)
+    for N in (4, 6, 8, 9, 10, 12, 36, 100):
+        assert b2_chi0(N) == N * sum(b2(Fraction(a, N)) for a in range(1, N) if gcd(a, N) == 1)
+    with pytest.raises(ValueError):
+        b2_chi0(2)
 
 
 def test_b2_chi0_prime_via_distribution():
     # direct summation oracle against the M=1 distribution collapse
-    for p in (5, 7, 11, 13, 17):
+    for p in (3, 5, 7, 11, 13, 17):
         direct = p * sum(b2(Fraction(a, p)) for a in range(1, p))
         assert b2_chi0(p) == direct
         assert direct == b2(0) - p * b2(0)  # p*sum_{a=0}^{p-1} B2(a/p) = B2(0)

@@ -162,3 +162,29 @@ def test_p_primary_at_a_large_prime_is_fast():
     t0 = time.perf_counter()
     assert p_primary(13, 2**61 - 1) == {}
     assert time.perf_counter() - t0 < 0.5
+    t0 = time.perf_counter()
+    assert p_primary(13, 2**89 - 1) == {}
+    assert time.perf_counter() - t0 < 1
+
+
+def test_is_prime_above_the_miller_rabin_bound():
+    # 2**89 - 1 is proved by Pocklington from the 2**16-smooth part of n - 1;
+    # the bound itself is a strong pseudoprime to every base up to 41
+    t0 = time.perf_counter()
+    assert is_prime(2**89 - 1)
+    assert not is_prime((2**89 - 1) * (2**61 - 1))
+    assert not is_prime(3317044064679887385961981)
+    assert not is_prime((2**89 - 1) ** 2)
+    assert time.perf_counter() - t0 < 1
+    # primes whose n - 1 is smooth, well above the bound
+    rng = random.Random(7)
+    found = 0
+    while found < 10:
+        n = 2
+        while n < 10**30:
+            n *= rng.choice((2, 3, 5, 7, 11, 13, 101, 65521))
+        n += 1
+        if all(pow(a, n - 1, n) == 1 for a in (2, 3, 5, 7)):
+            assert is_prime(n), n
+            assert not is_prime(n * (2**61 - 1))
+            found += 1

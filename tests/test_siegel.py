@@ -1,14 +1,21 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modunits.numtheory import b2, euler_phi
+from modunits.basis import basis
+from modunits.classgroup import _divisor_rows
+from modunits.errors import ConsistencyError
+from modunits.numtheory import b2, euler_phi, factorize, is_prime, unit_lead_key
 from modunits.siegel import (
     CuspDivisor,
     LevelContext,
     UnitProduct,
     divisor,
+    divisor_key_rows,
     divisor_keys,
     genus_x1,
     is_gamma1_modular,
@@ -102,6 +109,37 @@ def test_divisor_is_homomorphism():
             )
 
 
+@st.composite
+def level_products(draw):
+    """A level 5..400 and a few products there; index N/2 is drawn often."""
+    N = draw(st.integers(5, 400))
+    indices = st.one_of(st.just(N // 2), st.integers(1, N // 2))
+    exps = st.dictionaries(indices, st.integers(-2000, 2000), max_size=6)
+    return N, [UnitProduct(N, e) for e in draw(st.lists(exps, min_size=1, max_size=4))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(level_products())
+def test_divisor_key_rows_match_the_lead_key_and_fraction_references(case):
+    N, units = case
+    cusps = LevelContext.of(N).cusps
+    rows = divisor_key_rows(units)
+    assert len(rows) == len(units)
+    for u, row in zip(units, rows):
+        assert row == tuple(sum(e * unit_lead_key(N, a * h) for h, e in u.items()) for a in cusps)
+        assert row == divisor_keys(u)
+        assert [Fraction(k, 12 * N) for k in row] == [
+            sum((e * order_at_cusp(N, h, a) for h, e in u.items()), Fraction(0)) for a in cusps
+        ]
+
+
+def test_divisor_key_rows_edges():
+    assert divisor_key_rows([]) == []
+    assert divisor_key_rows(iter([UnitProduct(21, {})])) == [(0,) * 6]
+    with pytest.raises(ValueError):
+        divisor_key_rows([UnitProduct(21, {1: 1}), UnitProduct(22, {1: 1})])
+
+
 def test_divisor_empty_product_zero():
     d = divisor(UnitProduct(21, {}))
     assert all(x == 0 for x in d.orders)
@@ -139,6 +177,70 @@ def test_orbit_condition_constrained_family():
     assert not orbit_condition_holds(UnitProduct(21, {7: 1, 1: 1, 6: -1}))
     with pytest.raises(ValueError):
         orbit_condition_holds(UnitProduct(13, {1: 1, 2: -1}))
+
+
+def _orbit_condition_reference(u):
+    N = u.level
+    exps = u.exponents
+    for p, _ in factorize(N):
+        for orb in {orbit(N, h, p) for h in range(1, N // 2 + 1)}:
+            if sum(exps.get(g, 0) for g in orb):
+                return False
+    return True
+
+
+ORBIT_LEVELS = (6, 10, 12, 21, 27, 30, 32, 36, 45, 49, 60, 64, 72, 81, 84, 90, 100, 105, 125)
+
+
+@st.composite
+def orbit_cases(draw):
+    """Products of basis elements (which meet the orbit condition), maybe with
+    one exponent moved, and free products (which mostly fail)."""
+    N = draw(st.sampled_from(ORBIT_LEVELS))
+    k = N // 2
+    els = basis(N)  # empty at N = 6
+    if not els or draw(st.booleans()):
+        return UnitProduct(N, draw(st.dictionaries(st.integers(1, k), st.integers(-9, 9), max_size=5)))
+    u = UnitProduct(N, {})
+    for i, e in draw(st.dictionaries(st.integers(0, len(els) - 1), st.integers(-5, 5), max_size=4)).items():
+        u = u * els[i].unit**e
+    if draw(st.booleans()):
+        u = u * UnitProduct(N, {draw(st.integers(1, k)): draw(st.sampled_from((-2, -1, 1, 3)))})
+    return u
+
+
+@settings(max_examples=150, deadline=None)
+@given(orbit_cases())
+def test_orbit_condition_matches_the_orbit_set_reference(u):
+    N = u.level
+    ctx = LevelContext.of(N)
+    for (p, _), classes in zip(ctx.factorization, ctx.orbit_classes):
+        assert all(classes[h] == min(orbit(N, h, p)) for h in range(1, N // 2 + 1))
+    assert orbit_condition_holds(u) == _orbit_condition_reference(u)
+
+
+def test_orbit_condition_on_basis_and_moved_exponents():
+    for N in ORBIT_LEVELS:
+        for el in basis(N)[:6]:
+            assert orbit_condition_holds(el.unit)
+            moved = el.unit * UnitProduct(N, {N // 2: 1})
+            assert not orbit_condition_holds(moved)
+            assert not _orbit_condition_reference(moved)
+
+
+@pytest.mark.parametrize("N", [13, 27, 36, 42, 64])
+def test_divisor_rows_reject_a_basis_element_with_one_exponent_changed(N):
+    elements = tuple(basis(N))
+    assert len(_divisor_rows(N, elements)) == len(elements)
+    i = len(elements) // 2
+    el = elements[i]
+    h = next(iter(el.unit.exponents))
+    # +1 breaks the modularity congruences; +24N keeps them, and then the
+    # orbit condition (composite N) or the degree (prime N) must fail
+    for step, message in ((1, "modularity"), (24 * N, "nonzero degree" if is_prime(N) else "orbit condition")):
+        bad = dataclasses.replace(el, unit=el.unit * UnitProduct(N, {h: step}))
+        with pytest.raises(ConsistencyError, match=message):
+            _divisor_rows(N, elements[:i] + (bad,) + elements[i + 1 :])
 
 
 def test_degree_zero_under_orbit_condition():
