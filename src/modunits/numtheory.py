@@ -79,7 +79,7 @@ def is_prime(n: int) -> bool:
     and is a proof below the bound of its bases.  Above that bound a number
     that passes every base is proved prime by Pocklington's theorem: with
     n - 1 = F * R, F > sqrt(n) fully factored, n is prime if for each prime
-    q | F some a has a^(n-1) = 1 and gcd(a^((n-1)/q) - 1, n) = 1 (mod n).
+    q | F some a has a^(n-1) = 1 (mod n) and gcd(a^((n-1)/q) - 1, n) = 1.
     F is the part of n - 1 that `trial_factor` factors up to `TRIAL_BOUND`.
     Only when that part is at most sqrt(n) does n go to `trial_factor`,
     after Miller-Rabin to every base below 2 ln(n)^2 (which, under GRH,
