@@ -20,7 +20,6 @@ from .numtheory import (
     euler_phi,
     factorize,
     inv_mod,
-    is_prime,
     moebius,
     order_in_units_mod_pm1,
     generator_mod_pm1,
@@ -30,9 +29,6 @@ from .siegel import LevelContext, UnitProduct, normalize_index, render_product
 __all__ = [
     "BasisElement",
     "basis",
-    "basis_prime",
-    "basis_odd_prime_power",
-    "basis_two_power",
     "basis_squarefree",
     "basis_general",
     "mobius_product",
@@ -124,29 +120,6 @@ def _prime_power_basis(p: int, k: int, generator: int | None, branch: str) -> li
     return _checked_count(N, out, phi[k] - 1)
 
 
-def basis_prime(p: int, generator: int | None = None) -> list[BasisElement]:
-    """Generators at an odd prime level p >= 5: (p-1)/2 - 1 elements."""
-    if not is_prime(p) or p < 5:
-        raise ValueError(f"prime branch requires a prime >= 5, got {p}")
-    return _prime_power_basis(p, 1, generator, "prime")
-
-
-def basis_odd_prime_power(p: int, k: int, generator: int | None = None) -> list[BasisElement]:
-    """Generators at level p^k (p odd, k >= 2): phi(p^k)/2 - 1 elements."""
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"odd-prime-power branch requires odd prime p, got {p}")
-    if k < 2:
-        raise ValueError(f"odd-prime-power branch requires k >= 2, got {k}")
-    return _prime_power_basis(p, k, generator, "odd-prime-power")
-
-
-def basis_two_power(k: int, generator: int | None = None) -> list[BasisElement]:
-    """Generators at level 2^k (k >= 3): 2^(k-2) - 1 elements."""
-    if k < 3:
-        raise ValueError(f"two-power branch requires k >= 3, got {k}")
-    return _prime_power_basis(2, k, generator, "two-power")
-
-
 def mobius_product(M: int, g: int) -> dict[int, int]:
     """Moebius-weighted product isolating the coprime index class of g.
 
@@ -161,14 +134,12 @@ def mobius_product(M: int, g: int) -> dict[int, int]:
     return UnitProduct(M, pairs).exponents
 
 
-def basis_squarefree(N: int, generator: int | None = None) -> list[BasisElement]:
+def basis_squarefree(N: int) -> list[BasisElement]:
     """Generators at squarefree composite N: consecutive quotients of the
     Moebius products over the ascending coprime list."""
     fac = factorize(N)
     if len(fac) < 2 or any(e > 1 for _, e in fac):
         raise ValueError(f"squarefree branch requires squarefree composite N, got {N}")
-    if generator is not None:
-        raise ValueError("generator override only applies to prime-power levels")
     S = LevelContext.of(N).cusps
     F = [UnitProduct(N, mobius_product(N, g)) for g in S]
     out = [_element(N, N, f1 / f2, "squarefree", g=g1) for g1, f1, f2 in zip(S, F, F[1:])]
@@ -213,7 +184,7 @@ def _general_subbasis(M: int) -> list[tuple[dict[int, int], tuple[tuple[str, int
     return out
 
 
-def basis_general(N: int, generator: int | None = None) -> list[BasisElement]:
+def basis_general(N: int) -> list[BasisElement]:
     """Generators at non-squarefree composite N with >= 2 prime factors.
 
     Union over the divisors M of N that are multiples of the radical of a
@@ -222,8 +193,6 @@ def basis_general(N: int, generator: int | None = None) -> list[BasisElement]:
     fac = factorize(N)
     if len(fac) < 2 or all(e == 1 for _, e in fac):
         raise ValueError(f"general branch requires non-squarefree composite N, got {N}")
-    if generator is not None:
-        raise ValueError("generator override only applies to prime-power levels")
     L = prod(p for p, _ in fac)
     out = []
     for M in divisors(N):
@@ -241,11 +210,10 @@ def basis(N: int, generator: int | None = None) -> list[BasisElement]:
     fac = factorize(N)
     if len(fac) == 1:
         p, k = fac[0]
-        if k == 1:
-            return basis_prime(p, generator)
-        if p == 2:
-            return basis_two_power(k, generator)
-        return basis_odd_prime_power(p, k, generator)
+        branch = "prime" if k == 1 else "two-power" if p == 2 else "odd-prime-power"
+        return _prime_power_basis(p, k, generator, branch)
+    if generator is not None:
+        raise ValueError("generator override only applies to prime-power levels")
     if all(e == 1 for _, e in fac):
-        return basis_squarefree(N, generator)
-    return basis_general(N, generator)
+        return basis_squarefree(N)
+    return basis_general(N)

@@ -147,15 +147,11 @@ def class_number_lattice(N: int, generator: int | None = None) -> int:
     return analyze(N, generator).h_lattice
 
 
+@lru_cache(maxsize=None)
 def class_number_yu(N: int) -> int:
     """Class number by the analytic formula, exactly: Yu's prefactor times
     the product of (1/4) * B_{2,chi} over the even non-principal characters,
     one integer norm per Galois orbit of characters."""
-    return _class_number_yu(N)
-
-
-@lru_cache(maxsize=None)
-def _class_number_yu(N: int) -> int:
     if N < 5:
         raise ValueError(f"class number requires N >= 5, got {N}")
     h = yu_prefactor(N) * nonprincipal_quarter_product(N)
@@ -194,7 +190,7 @@ def _analyze(N: int, generator: int | None) -> ClassGroupReport:
     timings.append(("divisors", time.perf_counter() - t0))
 
     t0 = time.perf_counter()
-    h_yu = _class_number_yu(N)
+    h_yu = class_number_yu(N)
     timings.append(("analytic", time.perf_counter() - t0))
 
     # the partial-sum coordinates of the rows form a square matrix whose

@@ -153,16 +153,6 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing n."""
-    if n == 1:
-        return 1
-    r = 1
-    for p, _ in factorize(n):
-        r *= p
-    return r
-
-
 def euler_phi(n: int) -> int:
     """Euler totient.
 

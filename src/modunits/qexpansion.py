@@ -1,6 +1,6 @@
 """Truncated q-expansions of Siegel units on the exact 1/(12N) grid.
 
-A series is a sparse map from integer keys k to rational coefficients,
+A series is a sparse map from integer keys k to integer coefficients,
 where k encodes the exponent k/(12*level).  The leading exponent of a
 single unit times 12N is 6g^2 - 6gN + N^2, always an integer, so the grid
 is exact and no floating point appears anywhere.  Each series carries a
@@ -15,13 +15,11 @@ recurrence, the logarithmic derivative (Euler transform) of the product:
     b_k = sum_{d | k} d c_d,        n a_n = -sum_{k=1..n} b_k a_{n-k},
 
 where every division is exact (Apostol, Intro. to Analytic Number Theory
-section 14).  Integer powers of a series, negative ones included, come from
-J.C.P. Miller's power recurrence over the rationals.
+section 14).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from operator import mul
 
 from .errors import ConsistencyError
@@ -33,24 +31,29 @@ __all__ = [
     "expand_unit",
     "expand_product",
     "series_mul",
-    "series_pow",
-    "rescale",
     "to_level",
     "series_equal",
     "unit_lead_key",
 ]
 
 
+def _integer(c) -> int:
+    n = int(c)
+    if n != c:
+        raise ValueError(f"q-series coefficient {c} is not an integer")
+    return n
+
+
 @dataclass(frozen=True)
 class QSeries:
     level: int
-    coeffs: tuple[tuple[int, Fraction], ...]  # sorted (key, coefficient) pairs
+    coeffs: tuple[tuple[int, int], ...]  # sorted (key, coefficient) pairs
     trunc_key: int
 
     @staticmethod
     def make(level: int, coeffs, trunc_key: int) -> "QSeries":
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-        kept = sorted((int(k), Fraction(c)) for k, c in items if c and k < trunc_key)
+        kept = sorted((int(k), _integer(c)) for k, c in items if c and k < trunc_key)
         return QSeries(level, tuple(kept), trunc_key)
 
     @property
@@ -63,12 +66,12 @@ class QSeries:
             raise ValueError("series has no stored terms below its truncation")
         return self.coeffs[0][0]
 
-    def as_dict(self) -> dict[int, Fraction]:
+    def as_dict(self) -> dict[int, int]:
         return dict(self.coeffs)
 
     def is_one(self) -> bool:
         """True when the series is 1 + O(q^trunc)."""
-        return self.coeffs == ((0, Fraction(1)),)
+        return self.coeffs == ((0, 1),)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -97,50 +100,13 @@ def series_mul(a: QSeries, b: QSeries) -> QSeries:
     if a.level != b.level:
         raise ValueError("cannot multiply series of different levels")
     trunc = min(a.trunc_key + b.lead_key, b.trunc_key + a.lead_key)
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
     for i, x in a.coeffs:
         for j, y in b.coeffs:
             k = i + j
             if k < trunc:
-                out[k] = out.get(k, Fraction(0)) + x * y
+                out[k] = out.get(k, 0) + x * y
     return QSeries.make(a.level, out, trunc)
-
-
-def series_pow(a: QSeries, e: int) -> QSeries:
-    """Integer power by Miller's recurrence, negative exponents included.
-
-    Writing a = q^lead * sum_j c_j x^j, where x = q^step and step is the
-    gcd of the key offsets, the power is q^(e*lead) * sum_n p_n x^n with
-    p_0 = c_0^e and n c_0 p_n = sum_{k=1..n} ((e+1)k - n) c_k p_{n-k}.
-    """
-    lead = a.lead_key
-    step = gcd(*(k - lead for k, _ in a.coeffs)) or a.grid
-    c0 = a.coeffs[0][1]
-    tail = [((k - lead) // step, c) for k, c in a.coeffs[1:]]
-    depth = -((lead - a.trunc_key) // step)  # ceil((trunc_key - lead) / step)
-    out = [c0**e]
-    for n in range(1, depth):
-        acc = 0
-        for k, c in tail:
-            if k > n:
-                break
-            acc += ((e + 1) * k - n) * c * out[n - k]
-        out.append(acc / (n * c0))
-    trunc = a.trunc_key + (e - 1) * lead
-    return QSeries.make(a.level, {e * lead + step * j: c for j, c in enumerate(out)}, trunc)
-
-
-def rescale(a: QSeries, d: int) -> QSeries:
-    """Substitute tau -> d*tau: level becomes d*level, keys scale by d^2."""
-    if d < 1:
-        raise ValueError(f"scale must be >= 1, got {d}")
-    if d == 1:
-        return a
-    return QSeries(
-        a.level * d,
-        tuple((k * d * d, c) for k, c in a.coeffs),
-        a.trunc_key * d * d,
-    )
 
 
 def to_level(a: QSeries, level: int) -> QSeries:

@@ -18,7 +18,6 @@ __all__ = [
     "UnitProduct",
     "CuspDivisor",
     "normalize_index",
-    "lower_level_embed",
     "order_at_cusp",
     "divisor_key_rows",
     "divisor_keys",
@@ -44,19 +43,6 @@ def normalize_index(N: int, g: int) -> int:
     return g if 2 * g <= N else N - g
 
 
-def lower_level_embed(M: int, g: int, d: int) -> int:
-    """Index at level d*M of a level-M unit evaluated at d*tau.
-
-    >>> lower_level_embed(12, 1, 3)
-    3
-    """
-    if d < 1:
-        raise ValueError(f"scale must be >= 1, got {d}")
-    if g % M == 0:
-        raise ValueError(f"index 0 is not a valid Siegel-unit index mod {M}")
-    return normalize_index(d * M, g * d)
-
-
 def cusp_list(N: int) -> list[int]:
     """Numerators a of the width-one cusps a/N: coprime to N, 1 <= a <= N/2."""
     return [a for a in range(1, N // 2 + 1) if gcd(a, N) == 1]
@@ -76,15 +62,10 @@ def genus_x1(N: int) -> int:
     return g24 // 24
 
 
-def unit_indices(N: int) -> list[int]:
-    """Representative Siegel-unit indices 1, ..., floor(N/2)."""
-    return list(range(1, N // 2 + 1))
-
-
 @dataclass(frozen=True)
 class LevelContext:
-    """Level N with its factorization, cusp numerators, unit indices, and the
-    tables that every unit product at level N reads.
+    """Level N with its factorization, cusp numerators, and the tables that
+    every unit product at level N reads.
 
     `lead_keys[g]` is `unit_lead_key(N, g)` for 1 <= g < N (index 0 is None),
     so the order of g_h at the cusp a/N is lead_keys[a*h % N] / (12N).
@@ -97,7 +78,6 @@ class LevelContext:
     N: int
     factorization: tuple[tuple[int, int], ...]
     cusps: tuple[int, ...]
-    indices: tuple[int, ...]
     lead_keys: tuple[int | None, ...] = field(repr=False, compare=False)
     orbit_classes: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
@@ -128,12 +108,11 @@ def _level_context(N: int) -> LevelContext:
         N=N,
         factorization=factorization,
         cusps=tuple(cusp_list(N)),
-        indices=tuple(unit_indices(N)),
         lead_keys=(None, *(unit_lead_key(N, g) for g in range(1, N))),
         orbit_classes=tuple(_orbit_classes(N, p) for p, _ in factorization),
     )
-    if len(ctx.cusps) != euler_phi(N) // 2 or len(ctx.indices) != N // 2:
-        raise ConsistencyError(f"N={N}: {len(ctx.cusps)} cusps and {len(ctx.indices)} indices")
+    if len(ctx.cusps) != euler_phi(N) // 2:
+        raise ConsistencyError(f"N={N}: {len(ctx.cusps)} cusps, expected phi(N)/2")
     return ctx
 
 

@@ -402,24 +402,6 @@ def _local_smith(m, r: int, K: int, track: bool):
     return 1, out, V, W
 
 
-def local_smith_exponents(m, p: int, K: int) -> list[int]:
-    """Exponents of the Smith form of a square integer matrix over Z/p^K,
-    one per column, ascending; an invariant that vanishes mod p^K counts
-    as K.
-
-    Over the local ring an entry of least valuation divides every other
-    entry, so one pass per pivot is enough: clear its column with row
-    steps, then drop its row and column.
-
-    >>> local_smith_exponents([[4, 0], [0, 6]], 2, 4)
-    [1, 2]
-    """
-    split, pivots, _, _ = _local_smith(m, p, K, track=False)
-    if split > 1:
-        raise ValueError(f"modulus {p} is not a prime: it has the factor {split}")
-    return [v for v, _ in pivots]
-
-
 def _coprime_base(nums: list[int]) -> list[int]:
     # pairwise coprime numbers > 1 whose products give every input: a pair
     # with g = gcd(x, y) > 1 becomes x/g, g, y/g, which lowers the product

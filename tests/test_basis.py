@@ -3,10 +3,7 @@ import pytest
 from modunits.basis import (
     basis,
     basis_general,
-    basis_odd_prime_power,
-    basis_prime,
     basis_squarefree,
-    basis_two_power,
     mobius_product,
     orbit_alternating_product,
 )
@@ -16,7 +13,7 @@ from modunits.zlinalg import lattice_index
 
 
 def test_prime_13_generator_7():
-    els = basis_prime(13, generator=7)
+    els = basis(13, generator=7)
     assert [e.display for e in els] == [
         "E1*E3^4/(E6^5)",
         "E5^4*E6/(E3^5)",
@@ -27,22 +24,19 @@ def test_prime_13_generator_7():
 
 
 def test_prime_5_smallest_case():
-    els = basis_prime(5)
+    els = basis(5)
     assert len(els) == 1
     rows = [[int(x) for x in divisor(e.unit).orders] for e in els]
     assert lattice_index(rows) == 1
 
 
 def test_prime_rejects():
-    for bad in (2, 3, 9):
-        with pytest.raises(ValueError):
-            basis_prime(bad)
     with pytest.raises(ValueError):
-        basis_prime(13, generator=4)
+        basis(13, generator=4)
 
 
 def test_odd_prime_power_27():
-    els = basis_odd_prime_power(3, 3)
+    els = basis(27)
     assert [e.display for e in els] == [
         "E1*E11/(E2*E8)",
         "E2*E5/(E4*E11)",
@@ -60,16 +54,12 @@ def test_odd_prime_power_27():
 
 def test_odd_prime_power_band_sizes():
     for p, k in ((3, 2), (3, 3), (5, 2), (3, 4), (7, 2), (5, 3)):
-        els = basis_odd_prime_power(p, k)
+        els = basis(p**k)
         assert len(els) == euler_phi(p**k) // 2 - 1
-    with pytest.raises(ValueError):
-        basis_odd_prime_power(3, 1)
-    with pytest.raises(ValueError):
-        basis_odd_prime_power(2, 3)
 
 
 def test_two_power_32():
-    els = basis_two_power(5)
+    els = basis(32)
     assert [e.display for e in els] == [
         "E1*E13/(E3*E15)",
         "E3*E7/(E9*E13)",
@@ -83,7 +73,7 @@ def test_two_power_32():
 
 def test_two_power_8_degenerate():
     # the k = 3 bands collapse to the squared pivot with integral divisor
-    els = basis_two_power(3)
+    els = basis(8)
     assert len(els) == 1
     assert els[0].display == "E1^2/(E3^2)"
     rows = [[int(x) for x in divisor(els[0].unit).orders]]
@@ -92,14 +82,12 @@ def test_two_power_8_degenerate():
 
 
 def test_two_power_16():
-    els = basis_two_power(4)
+    els = basis(16)
     assert len(els) == 3
     rows = [[int(x) for x in divisor(e.unit).orders] for e in els]
     assert lattice_index(rows) == 10
     with pytest.raises(ValueError):
-        basis_two_power(2)
-    with pytest.raises(ValueError):
-        basis_two_power(5, generator=4)
+        basis(32, generator=4)
 
 
 def test_squarefree_21():
@@ -184,8 +172,9 @@ def test_dispatch_and_counts():
         assert len(basis(N)) == euler_phi(N) // 2 - 1, N
     with pytest.raises(ValueError):
         basis(4)
-    with pytest.raises(ValueError):
-        basis(21, generator=2)
+    for N, g in ((21, 2), (36, 5)):
+        with pytest.raises(ValueError, match="prime-power levels"):
+            basis(N, generator=g)
 
 
 def test_every_element_is_modular_with_integral_divisor():

@@ -17,7 +17,6 @@ from modunits.numtheory import (
     moebius,
     order_in_units_mod_pm1,
     primitive_root,
-    radical,
     trial_factor,
 )
 
@@ -87,7 +86,6 @@ def test_inv_mod_random_pairs():
 def test_divisors_radical_crt():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
-    assert radical(72) == 6
     x = crt_pair(2, 5, 3, 7)
     assert x % 5 == 2 and x % 7 == 3
 

@@ -10,10 +10,8 @@ from modunits.qexpansion import (
     QSeries,
     expand_product,
     expand_unit,
-    rescale,
     series_equal,
     series_mul,
-    series_pow,
     to_level,
     unit_lead_key,
 )
@@ -50,23 +48,24 @@ def test_expand_unit_rejects():
 
 def test_mul_identity_and_inverse():
     s = expand_unit(13, 1, 8)
-    one = series_pow(s, 0)
+    one = expand_product(UnitProduct(13, {}), 8)
     assert one.is_one()
     assert series_equal(series_mul(s, one), s)
-    assert series_mul(s, series_pow(s, -1)).is_one()
+    assert series_mul(s, expand_product(UnitProduct(13, {1: -1}), 8)).is_one()
 
 
-def test_series_pow_matches_repeated_mul():
+def test_product_power_matches_repeated_mul():
     s = expand_unit(9, 2, 8)
     cube = series_mul(series_mul(s, s), s)
-    assert series_equal(series_pow(s, 3), cube)
+    assert series_equal(expand_product(UnitProduct(9, {2: 3}), 8), cube)
 
 
 def test_rescale_matches_direct_expansion():
-    assert series_equal(rescale(expand_unit(12, 1, 10), 3), expand_unit(36, 3, 10))
-    s = expand_unit(7, 2, 9)
-    assert rescale(s, 1) == s
-    assert rescale(rescale(s, 2), 3) == rescale(s, 6)
+    # g_1 at level 12 under tau -> 3 tau is g_3 at level 36: the exponent
+    # grid refines by 3 and the exponents scale by 3, so keys scale by 9
+    s = expand_unit(12, 1, 10)
+    scaled = QSeries(36, tuple((9 * k, c) for k, c in s.coeffs), 9 * s.trunc_key)
+    assert series_equal(scaled, expand_unit(36, 3, 10))
 
 
 def test_fiber_product_collapses_to_sublevel():
@@ -106,7 +105,13 @@ def test_basis_expansions_integral_sample():
 
 def test_make_drops_beyond_truncation():
     s = QSeries.make(5, {0: 1, 500: 7}, 480)
-    assert s.as_dict() == {0: Fraction(1)}
+    assert s.as_dict() == {0: 1}
+
+
+def test_make_rejects_nonintegral_coefficient():
+    with pytest.raises(ValueError, match="not an integer"):
+        QSeries.make(5, {0: Fraction(1, 2)}, 60)
+    assert type(QSeries.make(5, {0: Fraction(2)}, 60).coeffs[0][1]) is int
 
 
 def _naive_product(u, depth):
@@ -147,28 +152,3 @@ def test_expand_product_matches_naive_oracle(u, T):
     want = _naive_product(u, min(depth, 60))
     for j, c in enumerate(want):
         assert got.get(lead + grid * j, 0) == c, (u, T, j)
-
-
-@st.composite
-def series(draw):
-    level = draw(st.integers(1, 6))
-    step = draw(st.integers(1, 30))
-    lead = draw(st.integers(-200, 200))
-    nonzero = st.fractions(max_denominator=6).filter(bool)
-    coeffs = [draw(nonzero)] + draw(st.lists(st.fractions(max_denominator=6), max_size=8))
-    trunc = lead + step * len(coeffs) + draw(st.integers(1, step))
-    return QSeries.make(level, {lead + step * j: c for j, c in enumerate(coeffs)}, trunc)
-
-
-@settings(max_examples=80, deadline=None)
-@given(series(), st.integers(-4, 4))
-def test_series_pow_properties(a, e):
-    p = series_pow(a, e)
-    assert p.trunc_key == a.trunc_key + (e - 1) * a.lead_key
-    assert p.coeffs[0] == (e * a.lead_key, a.coeffs[0][1] ** e)
-    if e > 0:
-        product = a
-        for _ in range(e - 1):
-            product = series_mul(product, a)
-        assert p == product
-    assert series_mul(series_pow(a, -e), p).is_one()

@@ -19,7 +19,6 @@ from modunits.siegel import (
     divisor_keys,
     genus_x1,
     is_gamma1_modular,
-    lower_level_embed,
     normalize_index,
     orbit,
     orbit_condition_holds,
@@ -37,25 +36,14 @@ def test_normalize_index():
         normalize_index(13, 26)
 
 
-def test_lower_level_embed():
-    assert lower_level_embed(12, 1, 3) == 3
-    assert lower_level_embed(16, 5, 2) == 10
-    assert lower_level_embed(18, 8, 2) == 16
-    with pytest.raises(ValueError):
-        lower_level_embed(12, 12, 3)
-
-
 def test_level_context():
     ctx = LevelContext.of(13)
     assert ctx.cusps == (1, 2, 3, 4, 5, 6)
-    assert ctx.indices == (1, 2, 3, 4, 5, 6)
     ctx8 = LevelContext.of(8)
     assert ctx8.cusps == (1, 3)
-    assert ctx8.indices == (1, 2, 3, 4)
     for N in range(5, 80):
         ctx = LevelContext.of(N)
         assert len(ctx.cusps) == euler_phi(N) // 2
-        assert len(ctx.indices) == (N - 1 + 1) // 2
 
 
 def test_order_at_cusp():
