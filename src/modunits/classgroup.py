@@ -87,7 +87,9 @@ class ClassGroupReport:
     basis: tuple[BasisElement, ...]
     matrix: tuple[tuple[int, ...], ...]
     timings: tuple[tuple[str, float], ...]
-    #: (det A, adj(A)*b) of the partial-sum matrix A and b = `_solve_column`
+    #: (det A, adj(A)*b) of the partial-sum matrix A, rows in basis order,
+    #: and b = `_solve_column`; `_analyze` passes `det_solve` the rows in
+    #: another order and multiplies its det and y by the sign of that order
     solve: tuple[int, tuple[int, ...]]
 
     @property
@@ -169,6 +171,17 @@ def analyze(N: int, generator: int | None = None) -> ClassGroupReport:
     return _analyze(N, generator)
 
 
+def _is_odd(perm: list[int]) -> bool:
+    """Whether a permutation of range(n) is odd: n less its cycle count."""
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        j, cycles = start, cycles + (not seen[start])
+        while not seen[j]:
+            seen[j], j = True, perm[j]
+    return (len(perm) - cycles) % 2 == 1
+
+
 def _solve_column(n: int) -> list[int]:
     # a fixed seed makes every run of a level take the same path; an unlucky
     # column only sends more primes to the local step, never a wrong answer
@@ -198,10 +211,20 @@ def _analyze(N: int, generator: int | None) -> ClassGroupReport:
     # and with pivots coprime to h it keeps the trailing block that holds
     # the Smith form at every prime of h.  h only steers the pivots: det
     # and y are exact whatever they are, and the block is read only once
-    # the two routes agree
+    # the two routes agree.  The level-N band Q_i / Q_(i+1)^(b^2) is taken
+    # from its pivot end Q_top^p: there the first k rows are a triangular
+    # change, of determinant p, of D_top, ..., D_(top-k+1) (D_i the divisor
+    # of Q_i), so each leading minor is p times a minor of those D_i.  In
+    # basis order the minors carry powers of b^2 that cancel only at the
+    # last step, and the Bareiss pivots outgrow h
     t0 = time.perf_counter()
     coords = _partial_sum_coords(rows)
-    det, y, block = det_solve(coords, _solve_column(len(coords)), h_yu) if coords else (1, [], [])
+    order = [i for i, el in enumerate(elements) if el.sublevel == N][::-1]
+    order += [i for i, el in enumerate(elements) if el.sublevel != N]
+    b = _solve_column(len(coords))
+    det, y, block = det_solve([coords[i] for i in order], [b[i] for i in order], h_yu) if coords else (1, [], [])
+    if _is_odd(order) and det:
+        det, y = -det, [-x for x in y]  # (det A, adj(A)*b) of the basis-order A
     timings.append(("det_solve", time.perf_counter() - t0))
     h_lat = abs(det)
     if h_lat == 0:

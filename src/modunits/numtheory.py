@@ -81,9 +81,10 @@ def is_prime(n: int) -> bool:
     n - 1 = F * R, F > sqrt(n) fully factored, n is prime if for each prime
     q | F some a has a^(n-1) = 1 (mod n) and gcd(a^((n-1)/q) - 1, n) = 1.
     F is the part of n - 1 that `trial_factor` factors up to `TRIAL_BOUND`.
-    Only when that part is at most sqrt(n) does n go to `trial_factor`,
-    after Miller-Rabin to every base below 2 ln(n)^2 (which, under GRH,
-    rejects every composite; Bach, Math. Comp. 55 (1990)).
+    When that part is at most sqrt(n), n goes through Miller-Rabin to every
+    base below 2 ln(n)^2 (which, under GRH, rejects every composite; Bach,
+    Math. Comp. 55 (1990)); a number that passes has no proof here, and
+    `is_prime` raises ValueError rather than divide up to sqrt(n) > 2^40.
 
     >>> is_prime(2**61 - 1), is_prime(3825123056546413051), is_prime(2**89 - 1)
     (True, False, True)
@@ -126,7 +127,10 @@ def _pocklington(n: int) -> bool:
     if F * F <= n:
         if not _strong_probable_prime(n, range(2, int(2 * log(n) ** 2) + 1)):
             return False
-        return trial_factor(n)[0] == [(n, 1)]
+        raise ValueError(
+            f"{n} passed Miller-Rabin to every base below 2 ln^2 n but has no Pocklington proof"
+            f" from the 2^{TRIAL_BOUND.bit_length() - 1}-smooth part of n - 1"
+        )
     for q, _ in factors:
         # for prime n this ends at the least q-th power non-residue; for
         # composite n by a = its least prime factor, where a^(n-1) != 1 mod n

@@ -4,7 +4,7 @@ Dense row-major matrices are plain lists of lists.  Determinants use
 fraction-free (Bareiss) elimination; `det_solve` runs the same elimination
 on the matrix extended by one column b and also returns adj(m)*b.  Given a
 number `avoid`, that one elimination takes pivots coprime to it while it
-can (down the column, else along the row), and at the first step where it
+can (along the row, else down the column), and at the first step where it
 cannot it keeps the trailing block: at every prime of `avoid` the block has
 the Smith form of m less its unit part (Sylvester's identity).  The
 class-group pipeline passes avoid = |det| (known from the analytic route)
@@ -62,8 +62,10 @@ def _bareiss(a: IntMatrix, avoid: int = 1) -> tuple[int, list[int], IntMatrix]:
     leading n x n block of the input.
 
     While it can, step k takes a pivot coprime to `avoid`: a[k][k], else the
-    first such entry down column k (a row swap), else the first along row k
-    (a swap of two leading columns; cols[j] is the input column now at j).
+    first such entry along row k (a swap of two leading columns; cols[j] is
+    the input column now at j), else the first down column k (a row swap).
+    A column swap keeps the leading rows, so a caller that orders the rows
+    to keep the leading minors small keeps that order wherever it can.
     At the first step with none, it copies the trailing block a[k:][k:n] to
     `block` and goes on as plain Bareiss; `block` is [] if no step lacks
     one.  By Sylvester's identity the block is prev*S, where S is the Schur
@@ -86,8 +88,8 @@ def _bareiss(a: IntMatrix, avoid: int = 1) -> tuple[int, list[int], IntMatrix]:
             return 0, cols, []  # column k is 0 from row k down
         i = None  # the row to swap in
         if block is None and not _unit(a[k][k], avoid):
-            i = next((i for i in range(k + 1, n) if _unit(a[i][k], avoid)), None)
-            j = None if i is not None else next((j for j in range(k + 1, n) if _unit(a[k][j], avoid)), None)
+            j = next((j for j in range(k + 1, n) if _unit(a[k][j], avoid)), None)
+            i = None if j is not None else next((i for i in range(k + 1, n) if _unit(a[i][k], avoid)), None)
             if j is not None:
                 for row in a:
                     row[k], row[j] = row[j], row[k]
@@ -128,10 +130,10 @@ def det_solve(m, b, avoid: int = 1) -> tuple[int, list[int] | None, IntMatrix | 
 
     adj(m)*b = det(m) * m^{-1} b, found by fraction-free back substitution
     and given in the input column order.  Step k takes a pivot coprime to
-    the positive integer `avoid` from column k or row k while there is one;
-    the trailing block of the elimination at the first step where there is
-    none has, at every prime r of `avoid`, the Smith form of m over Z_(r)
-    less its unit part, and it is [] if every step finds one.  So with
+    the positive integer `avoid` from row k, else from column k, while there
+    is one; the trailing block of the elimination at the first step where
+    there is none has, at every prime r of `avoid`, the Smith form of m over
+    Z_(r) less its unit part, and it is [] if every step finds one.  So with
     avoid = |det m|, `smith_invariants_local(block, det, y)` is the Smith
     structure of m.  With the default avoid = 1 the block is [] and the
     pivots are plain Bareiss.  det and adj(m)*b do not depend on `avoid`.
@@ -139,8 +141,9 @@ def det_solve(m, b, avoid: int = 1) -> tuple[int, list[int] | None, IntMatrix | 
     >>> det_solve([[2, 0], [0, 3]], [1, 1])
     (6, [3, 2], [])
 
-    Here no entry of column 0 is odd, so columns 0 and 1 swap; the second
-    pivot, -4, is even, and the 1 x 1 block holds the whole 2-part:
+    Here the first pivot, 2, is even and row 0 has an odd entry in column 1,
+    so columns 0 and 1 swap; the second pivot, -4, is even, and the 1 x 1
+    block holds the whole 2-part:
 
     >>> det_solve([[2, 1], [4, 4]], [1, 1], 4)
     (4, [3, -2], [[-4]])

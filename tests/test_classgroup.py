@@ -201,6 +201,31 @@ def test_one_det_solve_per_level(monkeypatch, N):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("N", [13, 37, 61, 97, 127, 169])
+def test_det_solve_pivots_stay_within_h(monkeypatch, N):
+    # analyze takes the level-N band from its pivot end and the elimination
+    # prefers column swaps, so every leading minor is p times a minor of the
+    # band's divisors: no Bareiss pivot outgrows h.  In basis order the
+    # largest pivot at 127 has 968 bits against 328 for h
+    classgroup._analyze.cache_clear()
+    calls = []
+    det_solve = classgroup.det_solve
+
+    def spy(*args):
+        calls.append(args)
+        return det_solve(*args)
+
+    monkeypatch.setattr(classgroup, "det_solve", spy)
+    report = analyze(N)
+    (m, b, h), = calls
+    a = [list(row) for row in m]
+    zlinalg._bareiss(a, h)
+    assert max(abs(a[i][i]).bit_length() for i in range(len(a))) <= h.bit_length()
+    coords = classgroup._partial_sum_coords(report.matrix)
+    d, y, _ = det_solve(coords, classgroup._solve_column(len(coords)))
+    assert report.solve == (d, tuple(y))
+
+
 def test_report_generators_property():
     for N in (6, 13, 72):
         assert analyze(N).generators == generators(N)

@@ -194,6 +194,14 @@ def test_invalid_level_exit_code(capsys):
         assert "4 is not prime" in err
 
 
+def test_primary_at_a_prime_without_a_proof_exits_2(capsys):
+    # 2**107 - 1: is_prime raises rather than trial-divide up to sqrt(p)
+    code, out, err = run_cli(capsys, "primary", "13", "162259276829213363391578010288127")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_cache_round_trip(tmp_path, capsys):
     rng = random.Random(59)
     levels = rng.sample(range(11, 60), 10)

@@ -165,6 +165,16 @@ def test_p_primary_at_a_large_prime_is_fast():
     assert time.perf_counter() - t0 < 1
 
 
+def test_is_prime_without_a_pocklington_proof_raises():
+    # n = 2**107 - 1 is prime; the 2**16-smooth part of n - 1 is
+    # 2 * 3 * 107 * 6361, 22 of 107 bits, so no Pocklington proof, and
+    # trial division up to sqrt(n) > 2**53 would never finish
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="no Pocklington proof"):
+        is_prime(2**107 - 1)
+    assert time.perf_counter() - t0 < 1
+
+
 def test_is_prime_above_the_miller_rabin_bound():
     # 2**89 - 1 is proved by Pocklington from the 2**16-smooth part of n - 1;
     # the bound itself is a strong pseudoprime to every base up to 41

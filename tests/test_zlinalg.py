@@ -258,14 +258,16 @@ def test_det_solve_kept_block_gives_the_structure(bound, case):
 
 
 def test_det_solve_swaps_rows_and_columns_for_a_coprime_pivot():
-    # avoid = 4: the pivot 2 is even, so step 0 swaps in row 1 (pivot 1);
-    # step 1 meets a[1][1] = 2 over an even column and swaps in column 2
-    # (pivot 1); step 2 meets -4 and keeps it as the block
-    m = [[2, 2, 1], [1, 0, 0], [0, 2, 3]]
+    # avoid = 4: the pivot 2 is even, so step 0 swaps in column 1 (pivot 1)
+    # although row 2 also has an odd entry in column 0; step 1 meets
+    # a[1][1] = 2 in a row that is even beyond it and swaps in row 2
+    # (pivot -1); step 2 meets -4 and keeps it as the block
+    m = [[2, 1, 0], [2, 0, 4], [3, 2, 0]]
     b = [1, 2, 3]
     a = [row + [x] for row, x in zip(m, b)]
     d, cols, block = zlinalg._bareiss(a, 4)
-    assert (d, cols, block) == (-4, [0, 2, 1], [[-4]])
+    assert (d, cols, block) == (-4, [1, 0, 2], [[-4]])
+    assert a == [[1, 2, 0, 1], [0, -1, 0, 1], [0, 0, -4, -4]]
     d, y, block = det_solve(m, b, 4)
     assert d == det_int(m) == -4
     assert [sum(x * v for x, v in zip(row, y)) for row in m] == [d * x for x in b]
