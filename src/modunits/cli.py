@@ -7,10 +7,13 @@ output; classnum, structure, basis, verify and qcheck take --generator, the
 generator override at prime-power levels.  classnum, structure, basis and
 table cache results as JSON files keyed by (N, generator, tool version,
 CACHE_REVISION) in --cache-dir or MODUNITS_CACHE_DIR, unless --no-cache.
-A cached record that does not match its key or whose invariants do not
-multiply to its class number is recomputed and overwritten.  Each level
-record printed says "cache": "hit" (loaded, with the timings of the run
-that stored it) or "miss" (computed by this run); the label is not stored.
+A cached record is served only if it matches its key, its invariants
+multiply to its class number, that class number is the analytic one
+(`class_number_yu`) and its basis is the one `build_record` writes;
+otherwise it is recomputed and overwritten.  Each level record printed says
+"cache": "hit" (loaded, with the timings of the run that stored it), "miss"
+(no file: computed by this run) or "stale" (a file that failed those checks:
+recomputed by this run); the label is not stored.
 
 Exit codes: 0 success, 2 invalid arguments, 3 internal consistency failure
 or reference-table mismatch.
@@ -26,10 +29,12 @@ from datetime import datetime, timezone
 from itertools import repeat
 
 from . import __version__
+from .basis import basis
 from .classgroup import (
     ConsistencyError,
     GroupStructure,
     analyze,
+    class_number_yu,
     conjecture_report,
     p_primary,
     primary_notation,
@@ -53,25 +58,29 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).replace(microsecond=0).isoformat()
 
 
-def build_record(N: int, generator: int | None = None) -> dict:
-    """Full machine-readable result for one level (the cacheable unit)."""
-    report = analyze(N, generator)
-    basis_json = [
+def _basis_json(elements) -> list[dict]:
+    """The "basis" field of a record, as it reads back from JSON."""
+    return [
         {
             "level": el.sublevel,
             "scale": el.scale,
             "exponents": {str(h): e for h, e in el.sub_exponents},
             "display": el.display,
         }
-        for el in report.basis
+        for el in elements
     ]
+
+
+def build_record(N: int, generator: int | None = None) -> dict:
+    """Full machine-readable result for one level (the cacheable unit)."""
+    report = analyze(N, generator)
     return {
         "n": N,
         "generator": generator,
         "version": __version__,
         "class_number": str(report.h_lattice),
         "invariants": [str(d) for d in report.structure.invariants],
-        "basis": basis_json,
+        "basis": _basis_json(report.basis),
         "checks": {
             "yu_vs_lattice": report.h_lattice == report.h_yu,
             # the orbit condition is only checked at composite levels
@@ -86,8 +95,11 @@ def build_record(N: int, generator: int | None = None) -> dict:
 
 
 def _is_valid_record(rec, N: int, generator: int | None) -> bool:
-    """Whether a loaded record belongs to (N, generator, version) and its
-    invariants form a divisibility chain whose product is the class number."""
+    """Whether a loaded record belongs to (N, generator, version), its
+    invariants form a divisibility chain whose product is the class number,
+    that class number is `class_number_yu(N)` and its basis is the one
+    `build_record` writes.  A rewrite of the invariants alone that keeps
+    their product is not caught."""
     if not isinstance(rec, dict):
         return False
     if (rec.get("n"), rec.get("generator"), rec.get("version")) != (N, generator, __version__):
@@ -97,7 +109,10 @@ def _is_valid_record(rec, N: int, generator: int | None) -> bool:
         st = GroupStructure(tuple(int(d) for d in rec["invariants"]))
     except (KeyError, TypeError, ValueError):
         return False
-    return st.order == h
+    return (
+        st.order == h == class_number_yu(N)
+        and rec.get("basis") == _basis_json(basis(N, generator))
+    )
 
 
 class Cache:
@@ -140,14 +155,17 @@ class Cache:
 
 def cached_record(N: int, generator: int | None, cache: Cache) -> dict:
     """The record for (N, generator), labelled "cache": "hit" when it was
-    loaded (its timings are those of the run that stored it) or "miss" when
-    it was computed now.  The label is never stored."""
+    loaded (its timings are those of the run that stored it), "miss" when
+    no file was stored and "stale" when the stored file was rejected; in
+    both of the latter it was computed now and stored.  The label is never
+    stored."""
     rec = cache.load(N, generator)
     if rec is not None:
         return dict(rec, cache="hit")
+    label = "stale" if cache.directory and os.path.exists(cache._path(N, generator)) else "miss"
     rec = build_record(N, generator)
     cache.store(N, generator, rec)
-    return dict(rec, cache="miss")
+    return dict(rec, cache=label)
 
 
 def _emit(args, record, text: str) -> None:

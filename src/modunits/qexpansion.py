@@ -15,11 +15,14 @@ recurrence, the logarithmic derivative (Euler transform) of the product:
     b_k = sum_{d | k} d c_d,        n a_n = -sum_{k=1..n} b_k a_{n-k},
 
 where every division is exact (Apostol, Intro. to Analytic Number Theory
-section 14).
+section 14).  The sum runs only over the k with b_k != 0, found once per
+call: b_k is 0 unless some d | k lies in the support of c, the residues
++-h mod N of the unit's indices, so many b_k vanish.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 
 from .errors import ConsistencyError
@@ -148,10 +151,14 @@ def expand_product(u: UnitProduct, T: int = 8) -> QSeries:
         if dc:
             for k in range(d, depth, d):
                 b[k] += dc
+    # step n pairs b_k with a_(n-k) for the k <= n where b_k != 0 only
+    vals = [x for x in b[1:] if x]
+    mask = [x != 0 for x in b[1:]]
     a = [1] if depth else []
     for n in range(1, depth):
-        an, r = divmod(-sum(map(mul, b[1 : n + 1], reversed(a))), n)
+        an, r = divmod(-sum(map(mul, vals, compress(reversed(a), mask))), n)
         if r:
             raise ConsistencyError(f"inexact division by {n} expanding {u!r}")
         a.append(an)
-    return QSeries.make(N, {lead + grid * j: x for j, x in enumerate(a)}, trunc)
+    # the keys ascend and stay below trunc, and each a_n is an int
+    return QSeries(N, tuple((lead + grid * j, x) for j, x in enumerate(a) if x), trunc)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from modunits import __version__
-from modunits.cli import CACHE_REVISION, build_record, main
+from modunits.cli import CACHE_REVISION, Cache, build_record, main
 
 
 def run_cli(capsys, *argv):
@@ -260,6 +260,43 @@ def test_cache_never_serves_a_wrong_or_corrupt_record(tmp_path, capsys):
     stale.write_text(json.dumps(dict(good, class_number="20", invariants=["20"])))
     code, out, _ = run_cli(capsys, "classnum", "13", "--cache-dir", str(tmp_path))
     assert (code, out.strip()) == (0, "19")
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        # class number and invariants together: they still multiply out
+        lambda rec: dict(rec, class_number="38", invariants=["38"]),
+        # the basis alone: the first element's exponents negated
+        lambda rec: dict(
+            rec,
+            basis=[
+                dict(el, exponents={h: -e for h, e in el["exponents"].items()}) if i == 0 else el
+                for i, el in enumerate(rec["basis"])
+            ],
+        ),
+    ],
+    ids=["class-number-and-invariants", "basis"],
+)
+def test_cache_recomputes_a_consistent_rewrite_as_stale(tmp_path, capsys, rewrite):
+    code, out, _ = run_cli(capsys, "classnum", "13", "--json", "--cache-dir", str(tmp_path))
+    assert (code, json.loads(out)["cache"]) == (0, "miss")
+    (path,) = tmp_path.iterdir()
+    good = json.loads(path.read_text())
+    bad = rewrite(good)
+    assert bad != good
+    path.write_text(json.dumps(bad))
+    assert Cache(str(tmp_path)).load(13, None) is None
+    code, out, _ = run_cli(capsys, "classnum", "13", "--json", "--cache-dir", str(tmp_path))
+    rec = json.loads(out)
+    assert (code, rec.pop("cache"), rec["class_number"]) == (0, "stale", "19")
+    assert rec["basis"] == good["basis"]
+    # overwritten on disk with the recomputed record, which then hits
+    assert json.loads(path.read_text()) == rec == Cache(str(tmp_path)).load(13, None)
+    code, out, _ = run_cli(capsys, "classnum", "13", "--cache-dir", str(tmp_path))
+    assert (code, out.strip()) == (0, "19")
+    code, out, _ = run_cli(capsys, "structure", "13", "--json", "--cache-dir", str(tmp_path))
+    assert json.loads(out)["cache"] == "hit"
 
 
 def test_cache_env_and_no_cache(tmp_path, capsys, monkeypatch):

@@ -152,3 +152,73 @@ def test_expand_product_matches_naive_oracle(u, T):
     want = _naive_product(u, min(depth, 60))
     for j, c in enumerate(want):
         assert got.get(lead + grid * j, 0) == c, (u, T, j)
+
+
+def _dense_reference(u, T):
+    """The recurrence n a_n = -sum_{k<=n} b_k a_(n-k) over every b_k, zero
+    or not, with the result sorted and checked by QSeries.make."""
+    N, grid = u.level, 12 * u.level
+    lead = sum(e * unit_lead_key(N, h) for h, e in u.items())
+    depth = max(0, -((lead - T * grid) // grid))
+    c = [0] * N
+    for h, e in u.items():
+        c[h % N] += e
+        c[-h % N] += e
+    b = [sum(d * c[d % N] for d in range(1, k + 1) if k % d == 0) for k in range(depth)]
+    a = [1] if depth else []
+    for n in range(1, depth):
+        a.append(-sum(b[k] * a[n - k] for k in range(1, n + 1)) // n)
+    return QSeries.make(N, {lead + grid * j: x for j, x in enumerate(a)}, T * grid)
+
+
+def _truncation_for_depth(u, depth):
+    """The T at which expand_product(u, T) needs exactly `depth` q-powers."""
+    lead = sum(e * unit_lead_key(u.level, h) for h, e in u.items())
+    return lead // (12 * u.level) + depth
+
+
+def _assert_well_formed(s):
+    keys = [k for k, _ in s.coeffs]
+    assert keys == sorted(set(keys)) and all(k < s.trunc_key for k in keys)
+    assert all(type(k) is int and type(c) is int and c for k, c in s.coeffs)
+
+
+@st.composite
+def deep_unit_products(draw):
+    N = draw(st.integers(20, 60))
+    indices = draw(st.lists(st.integers(1, N // 2), min_size=2, max_size=3, unique=True))
+    exps = {h: draw(st.integers(-600, 600)) for h in indices}
+    return UnitProduct(N, exps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(deep_unit_products(), st.integers(0, 300))
+def test_expand_product_matches_dense_reference(u, depth):
+    T = _truncation_for_depth(u, depth)
+    s = expand_product(u, T)
+    assert s == _dense_reference(u, T)
+    assert len(s.coeffs) <= depth
+    _assert_well_formed(s)
+
+
+@pytest.mark.parametrize(
+    "N, exps, depth",
+    [
+        (47, {4: 1, 8: -530, 16: 529}, None),  # a deep basis element, in full
+        (40, {20: 3, 7: -5}, 250),  # h = N/2 counts twice in c_m
+        (22, {11: -600, 3: 1}, 300),
+        (30, {15: 1, 4: 2}, 0),
+        (30, {15: 1, 4: 2}, 1),
+        (47, {4: 1, 8: -530, 16: 529}, 1),
+    ],
+)
+def test_expand_product_pinned_against_dense_reference(N, exps, depth):
+    u = UnitProduct(N, exps)
+    if depth is None:  # the full depth that a truncation at q^1 needs
+        T, depth = 1, 1 - _truncation_for_depth(u, 0)
+    else:
+        T = _truncation_for_depth(u, depth)
+    s = expand_product(u, T)
+    assert s == _dense_reference(u, T)
+    assert len(s.coeffs) <= depth and (depth == 0) == (not s.coeffs)
+    _assert_well_formed(s)
