@@ -3,11 +3,13 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from modunits import __version__
-from modunits.cli import CACHE_REVISION, Cache, build_record, main
+from modunits import __version__, classgroup, cli
+from modunits.cli import CACHE_ENV, CACHE_REVISION, Cache, build_record, main
+from modunits.qexpansion import QSeries
 
 
 def run_cli(capsys, *argv):
@@ -318,3 +320,108 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "19"
+
+
+PINNED_STDOUT = {
+    ("conjecture", "3", "4"): """\
+p=3 n=4 level=81 (regular prime)
+p-rank: predicted 8, computed 8 [ok]
+Z/3^1: predicted 1, computed 1 [ok]
+Z/3^2: predicted 5, computed 5 [ok]
+Z/3^3: predicted 1, computed 1 [ok]
+Z/3^4: predicted 1, computed 1 [ok]
+overall: agree
+""",
+    ("table", "5..12"): """\
+   N  genus                 class number  structure
+   5      0                            1  []
+   6      0                            1  []
+   7      0                            1  []
+   8      0                            1  []
+   9      0                            1  []
+  10      0                            1  []
+  11      1                            5  [5]
+  12      0                            1  []
+""",
+    ("primary-table", "--max", "27"): """\
+  2^4  (2)
+  5^2  (5)
+  3^3  (3)(3^2)
+""",
+    ("verify", "36"): "lattice=31248 analytic=31248 structure=31248 ok\n",
+    ("qcheck", "13"): """\
+ok   E1*E4^36/(E2^37)
+ok   E2*E5^36/(E4^37)
+ok   E3^36*E4/(E5^37)
+ok   E5*E6^36/(E3^37)
+ok   E3^13/(E6^13)
+5/5 ok
+""",
+    ("basis", "13", "--generator", "7"): """\
+E1*E3^4/(E6^5)
+E5^4*E6/(E3^5)
+E3*E4^4/(E5^5)
+E2^4*E5/(E4^5)
+E4^13/(E2^13)
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_STDOUT), ids=" ".join)
+def test_cli_stdout_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    assert run_cli(capsys, *argv) == (0, PINNED_STDOUT[argv], "")
+
+
+def test_verify_exits_3_when_the_routes_disagree(capsys, monkeypatch):
+    yu = classgroup.class_number_yu
+    monkeypatch.setattr(classgroup, "class_number_yu", lambda N: yu(N) + 1)
+    classgroup._analyze.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "verify", "36")
+    finally:
+        classgroup._analyze.cache_clear()
+    assert (code, out) == (3, "")
+    assert err.startswith("consistency failure:")
+
+
+def test_table_check_exits_3_on_an_altered_reference_row(capsys, monkeypatch):
+    known = dict(cli.structures())
+    known[13] = replace(known[13], class_number=20, invariants=(20,))
+    monkeypatch.setattr(cli, "structures", lambda: known)
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    code, out, err = run_cli(capsys, "table", "11..13", "--check")
+    assert code == 3
+    assert out.splitlines()[-1] == "2/3 match"
+    assert err.splitlines() == ["MISMATCH N=13: computed [19], reference [20]"]
+
+
+def test_primary_table_check_exits_3_on_an_altered_reference_row(capsys, monkeypatch):
+    rows = dict(cli.primary_rows())
+    rows["5^2"] = replace(rows["5^2"], parts=((2, 1),))
+    monkeypatch.setattr(cli, "primary_rows", lambda: rows)
+    code, out, err = run_cli(capsys, "primary-table", "--max", "27", "--check")
+    assert code == 3
+    assert out.splitlines()[-1] == "2/3 match"
+    assert err.splitlines() == ["MISMATCH 5^2: computed (5), reference (5^2)"]
+
+
+def test_qcheck_exits_3_on_a_shifted_lead(capsys, monkeypatch):
+    expand = cli.expand_product
+    calls = []
+
+    def shifted(u, T):
+        # the first element's series moves up by one integral q-power
+        s = expand(u, T)
+        calls.append(u)
+        if len(calls) > 1:
+            return s
+        grid = 12 * u.level
+        return QSeries(s.level, tuple((k + grid, c) for k, c in s.coeffs), s.trunc_key + grid)
+
+    monkeypatch.setattr(cli, "expand_product", shifted)
+    code, out, _ = run_cli(capsys, "qcheck", "13")
+    lines = out.splitlines()
+    assert code == 3
+    assert [line[:4] for line in lines[:-1]] == ["FAIL"] + ["ok  "] * 4
+    assert lines[-1] == "4/5 ok"
