@@ -9,7 +9,7 @@ exponent vector for display while the level-N vector drives all divisor
 arithmetic.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from math import gcd, prod
 
@@ -45,7 +45,6 @@ class BasisElement:
     sublevel: int
     scale: int
     sub_exponents: tuple[tuple[int, int], ...]
-    params: tuple[tuple[str, int], ...] = field(default=())
 
     @property
     def display(self) -> str:
@@ -57,7 +56,7 @@ class BasisElement:
         return self.display
 
 
-def _element(N: int, M: int, sub_exps: dict | UnitProduct, branch: str, **params) -> BasisElement:
+def _element(N: int, M: int, sub_exps: dict | UnitProduct, branch: str) -> BasisElement:
     d = N // M
     if d == 1 and isinstance(sub_exps, UnitProduct):
         unit = sub_exps  # already normalised at level N
@@ -69,7 +68,6 @@ def _element(N: int, M: int, sub_exps: dict | UnitProduct, branch: str, **params
         sublevel=M,
         scale=d,
         sub_exponents=tuple(sorted(sub_exps.items())),
-        params=tuple(sorted(params.items())),
     )
 
 
@@ -110,13 +108,13 @@ def _prime_power_basis(p: int, k: int, generator: int | None, branch: str) -> li
     out = []
     for i in range(1, top):
         band = quotient(N, i, shift, 1) / quotient(N, i + 1, shift, bsq)
-        out.append(_element(N, N, band, branch, i=i))
-    out.append(_element(N, N, quotient(N, top, shift, p), branch, i=top))
+        out.append(_element(N, N, band, branch))
+    out.append(_element(N, N, quotient(N, top, shift, p), branch))
     for ell in range(k - 1, 2 if p == 2 else 0, -1):
         M = p**ell
         shift = phi[ell - 1]
         for i in range(phi[k] - phi[ell] + 1, phi[k] - shift + 1):
-            out.append(_element(N, M, quotient(M, i, shift, 1), branch, i=i))
+            out.append(_element(N, M, quotient(M, i, shift, 1), branch))
     return _checked_count(N, out, phi[k] - 1)
 
 
@@ -142,7 +140,7 @@ def basis_squarefree(N: int) -> list[BasisElement]:
         raise ValueError(f"squarefree branch requires squarefree composite N, got {N}")
     S = LevelContext.of(N).cusps
     F = [UnitProduct(N, mobius_product(N, g)) for g in S]
-    out = [_element(N, N, f1 / f2, "squarefree", g=g1) for g1, f1, f2 in zip(S, F, F[1:])]
+    out = [_element(N, N, f1 / f2, "squarefree") for f1, f2 in zip(F, F[1:])]
     return _checked_count(N, out, euler_phi(N) // 2 - 1)
 
 
@@ -165,12 +163,12 @@ def orbit_alternating_product(M: int, g: int, shifts: tuple[int, ...]) -> dict[i
     return UnitProduct(M, pairs).exponents
 
 
-def _general_subbasis(M: int) -> list[tuple[dict[int, int], tuple[tuple[str, int], ...]]]:
+def _general_subbasis(M: int) -> list[dict[int, int]]:
     """Exponent maps of the level-M block of the composite construction."""
     fac = factorize(M)
     squared = [p for p, e in fac if e >= 2]
     if not squared:  # M is the radical: reuse the squarefree generators
-        return [(dict(el.sub_exponents), el.params) for el in basis_squarefree(M)]
+        return [dict(el.sub_exponents) for el in basis_squarefree(M)]
     P = prod(squared)
     bound = M // (2 * P)
     out = []
@@ -178,9 +176,7 @@ def _general_subbasis(M: int) -> list[tuple[dict[int, int], tuple[tuple[str, int
         if gcd(g, M) != 1:
             continue
         for shifts in product(*(range(1, p) for p in squared)):
-            exps = orbit_alternating_product(M, g, shifts)
-            params = tuple([("g", g)] + [(f"m{i+1}", m) for i, m in enumerate(shifts)])
-            out.append((exps, params))
+            out.append(orbit_alternating_product(M, g, shifts))
     return out
 
 
@@ -198,8 +194,8 @@ def basis_general(N: int) -> list[BasisElement]:
     for M in divisors(N):
         if M % L:
             continue
-        for exps, params in _general_subbasis(M):
-            out.append(_element(N, M, exps, "general", **dict(params)))
+        for exps in _general_subbasis(M):
+            out.append(_element(N, M, exps, "general"))
     return _checked_count(N, out, euler_phi(N) // 2 - 1)
 
 

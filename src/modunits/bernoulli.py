@@ -247,7 +247,6 @@ class _LocalGroup:
     """Unit group mod a prime power, with fixed generators and a log table."""
 
     q: int
-    generators: tuple[int, ...]
     orders: tuple[int, ...]
     logs: dict[int, tuple[int, ...]]
 
@@ -255,9 +254,9 @@ class _LocalGroup:
 @lru_cache(maxsize=None)
 def _local_group(q: int) -> _LocalGroup:
     if q == 2:
-        return _LocalGroup(2, (), (), {1: ()})
+        return _LocalGroup(2, (), {1: ()})
     if q == 4:
-        return _LocalGroup(4, (3,), (2,), {1: (0,), 3: (1,)})
+        return _LocalGroup(4, (2,), {1: (0,), 3: (1,)})
     p, k = factorize(q)[0]
     if p == 2:
         gens, orders = (q - 1, 3), (2, 2 ** (k - 2))
@@ -269,7 +268,7 @@ def _local_group(q: int) -> _LocalGroup:
         for g, e in zip(gens, exps):
             r = r * pow(g, e, q) % q
         logs[r] = exps
-    return _LocalGroup(q, gens, orders, logs)
+    return _LocalGroup(q, orders, logs)
 
 
 @dataclass(frozen=True)
@@ -314,16 +313,6 @@ class DirichletCharacter:
     @property
     def is_even(self) -> bool:
         return self.angle(self.modulus - 1) == 0
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for grp, exps in zip(self._locals(), self.exponents):
-            for e, o in zip(exps, grp.orders):
-                d = gcd(e, o)
-                sub = o // d
-                n = n * sub // gcd(n, sub)
-        return n
 
 
 def enumerate_even_characters(N: int) -> list[DirichletCharacter]:

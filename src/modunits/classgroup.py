@@ -67,10 +67,6 @@ class GroupStructure:
             out *= d
         return out
 
-    @property
-    def is_cyclic(self) -> bool:
-        return len(self.invariants) <= 1
-
     def __str__(self) -> str:
         return "[" + ", ".join(str(d) for d in self.invariants) + "]"
 
@@ -80,7 +76,6 @@ class ClassGroupReport:
     """Everything computed for one level, with per-stage timings."""
 
     N: int
-    generator: int | None
     h_lattice: int
     h_yu: int
     structure: GroupStructure
@@ -141,7 +136,7 @@ def _divisor_rows(N: int, elements: tuple[BasisElement, ...]) -> list[list[int]]
 
 def divisor_matrix(N: int, generator: int | None = None) -> list[list[int]]:
     """(phi/2 - 1) x (phi/2) integer matrix of basis divisors, ascending cusps."""
-    return [list(r) for r in analyze(N, generator).matrix]
+    return _divisor_rows(N, tuple(basis(N, generator)))
 
 
 def class_number_lattice(N: int, generator: int | None = None) -> int:
@@ -241,7 +236,6 @@ def _analyze(N: int, generator: int | None) -> ClassGroupReport:
 
     return ClassGroupReport(
         N=N,
-        generator=generator,
         h_lattice=h_lat,
         h_yu=h_yu,
         structure=st,

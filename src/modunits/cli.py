@@ -36,6 +36,7 @@ from .classgroup import (
     analyze,
     class_number_yu,
     conjecture_report,
+    divisor_matrix,
     p_primary,
     primary_notation,
 )
@@ -184,21 +185,17 @@ def _cache(args) -> Cache:
     return Cache(None if args.no_cache else (args.cache_dir or os.environ.get(CACHE_ENV)))
 
 
-def cmd_classnum(args) -> int:
+#: the commands that print one field of a level record: help, text of the record
+LEVEL_COMMANDS = {
+    "classnum": ("class number at level N", lambda rec: rec["class_number"]),
+    "structure": ("elementary divisors at level N", lambda rec: _invariants_str(rec["invariants"])),
+    "basis": ("unit basis at level N", lambda rec: "\n".join(el["display"] for el in rec["basis"])),
+}
+
+
+def cmd_level(args) -> int:
     rec = cached_record(args.N, args.generator, _cache(args))
-    _emit(args, rec, rec["class_number"])
-    return EXIT_OK
-
-
-def cmd_structure(args) -> int:
-    rec = cached_record(args.N, args.generator, _cache(args))
-    _emit(args, rec, _invariants_str(rec["invariants"]))
-    return EXIT_OK
-
-
-def cmd_basis(args) -> int:
-    rec = cached_record(args.N, args.generator, _cache(args))
-    _emit(args, rec, "\n".join(el["display"] for el in rec["basis"]))
+    _emit(args, rec, LEVEL_COMMANDS[args.command][1](rec))
     return EXIT_OK
 
 
@@ -245,6 +242,15 @@ def cmd_conjecture(args) -> int:
     return EXIT_OK
 
 
+def _check_summary(mismatches: list[str], checked: int) -> int:
+    """The tail of --check: each MISMATCH line to stderr, then "k/n match";
+    exit 3 on any mismatch."""
+    for line in mismatches:
+        print(line, file=sys.stderr)
+    print(f"{checked - len(mismatches)}/{checked} match")
+    return EXIT_INCONSISTENT if mismatches else EXIT_OK
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
@@ -284,18 +290,14 @@ def cmd_table(args) -> int:
         return EXIT_OK
 
     known = structures()
-    checked = mismatches = 0
-    for N in levels:
-        if N not in known:
-            continue
-        checked += 1
+    checked = [N for N in levels if N in known]
+    mismatches = []
+    for N in checked:
         got = [int(x) for x in records[N]["invariants"]]
         want = list(known[N].invariants)
         if got != want or int(records[N]["class_number"]) != known[N].class_number:
-            mismatches += 1
-            print(f"MISMATCH N={N}: computed {got}, reference {want}", file=sys.stderr)
-    print(f"{checked - mismatches}/{checked} match")
-    return EXIT_INCONSISTENT if mismatches else EXIT_OK
+            mismatches.append(f"MISMATCH N={N}: computed {got}, reference {want}")
+    return _check_summary(mismatches, len(checked))
 
 
 def cmd_primary_table(args) -> int:
@@ -322,17 +324,13 @@ def cmd_primary_table(args) -> int:
             print(f"{key:>5}  {primary_notation(parts, row.p)}")
     if not args.check:
         return EXIT_OK
-    mismatches = 0
-    for key, row, parts in rows:
-        if parts != row.parts_dict():
-            mismatches += 1
-            print(
-                f"MISMATCH {key}: computed {primary_notation(parts, row.p)}, "
-                f"reference {primary_notation(row.parts_dict(), row.p)}",
-                file=sys.stderr,
-            )
-    print(f"{len(rows) - mismatches}/{len(rows)} match")
-    return EXIT_INCONSISTENT if mismatches else EXIT_OK
+    mismatches = [
+        f"MISMATCH {key}: computed {primary_notation(parts, row.p)}, "
+        f"reference {primary_notation(row.parts_dict(), row.p)}"
+        for key, row, parts in rows
+        if parts != row.parts_dict()
+    ]
+    return _check_summary(mismatches, len(rows))
 
 
 def cmd_verify(args) -> int:
@@ -355,17 +353,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_qcheck(args) -> int:
-    report = analyze(args.N, args.generator)
     failures = 0
     lines = []
     rows = []
     grid = 12 * args.N
-    for el, div_row in zip(report.basis, report.matrix):
-        series = expand_product(el.unit, args.trunc)
+    for el, div_row in zip(basis(args.N, args.generator), divisor_matrix(args.N, args.generator)):
+        # div_row[0] is the order at 1/N: the series holds its lead and the
+        # next q-power, whatever --trunc is
+        series = expand_product(el.unit, max(args.trunc, div_row[0] + 2))
         integral = all(k % grid == 0 for k, _ in series.coeffs)
-        lead_ok = True
-        if series.coeffs:
-            lead_ok = series.lead_key == div_row[0] * grid
+        lead_ok = bool(series.coeffs) and series.lead_key == div_row[0] * grid
         ok = integral and lead_ok
         failures += not ok
         lines.append(f"{'ok  ' if ok else 'FAIL'} {el.display}")
@@ -406,14 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"modunits {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classnum", parents=cached_level, help="class number at level N")
-    p.set_defaults(func=cmd_classnum)
-
-    p = sub.add_parser("structure", parents=cached_level, help="elementary divisors at level N")
-    p.set_defaults(func=cmd_structure)
-
-    p = sub.add_parser("basis", parents=cached_level, help="unit basis at level N")
-    p.set_defaults(func=cmd_basis)
+    for name, (help_text, _) in LEVEL_COMMANDS.items():
+        sub.add_parser(name, parents=cached_level, help=help_text).set_defaults(func=cmd_level)
 
     p = sub.add_parser("primary", parents=[output, level], help="p-primary part at level N")
     p.add_argument("p", type=int, help="prime")

@@ -21,7 +21,6 @@ call: b_k is 0 unless some d | k lies in the support of c, the residues
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from operator import mul
 
@@ -60,32 +59,10 @@ class QSeries:
         return QSeries(level, tuple(kept), trunc_key)
 
     @property
-    def grid(self) -> int:
-        return 12 * self.level
-
-    @property
     def lead_key(self) -> int:
         if not self.coeffs:
             raise ValueError("series has no stored terms below its truncation")
         return self.coeffs[0][0]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
-
-    def is_one(self) -> bool:
-        """True when the series is 1 + O(q^trunc)."""
-        return self.coeffs == ((0, 1),)
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return f"O(q^({Fraction(self.trunc_key, self.grid)}))"
-        parts = []
-        for k, c in self.coeffs[:6]:
-            e = Fraction(k, self.grid)
-            parts.append(f"{c}*q^({e})" if e else f"{c}")
-        if len(self.coeffs) > 6:
-            parts.append("...")
-        return " + ".join(parts)
 
 
 def expand_unit(N: int, g: int, T: int = 8) -> QSeries:

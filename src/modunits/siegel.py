@@ -165,9 +165,6 @@ class UnitProduct:
     def __pow__(self, e: int) -> "UnitProduct":
         return UnitProduct(self.level, {h: k * e for h, k in self._exps.items()})
 
-    def inverse(self) -> "UnitProduct":
-        return self**-1
-
     def __truediv__(self, other: "UnitProduct") -> "UnitProduct":
         if self.level != other.level:
             raise ValueError("cannot divide products of different levels")
@@ -193,11 +190,6 @@ class CuspDivisor:
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for x in self.orders)
-
-    def __add__(self, other: "CuspDivisor") -> "CuspDivisor":
-        if self.level != other.level:
-            raise ValueError("cannot add divisors of different levels")
-        return CuspDivisor(self.level, tuple(x + y for x, y in zip(self.orders, other.orders)))
 
 
 def order_at_cusp(N: int, g: int, a: int, c: int | None = None) -> Fraction:

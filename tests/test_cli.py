@@ -425,3 +425,45 @@ def test_qcheck_exits_3_on_a_shifted_lead(capsys, monkeypatch):
     assert code == 3
     assert [line[:4] for line in lines[:-1]] == ["FAIL"] + ["ok  "] * 4
     assert lines[-1] == "4/5 ok"
+
+
+@pytest.mark.parametrize("trunc", ["8", "0"])
+def test_qcheck_expands_every_element_past_its_lead(capsys, monkeypatch, trunc):
+    # an element whose order at 1/N reaches --trunc is still expanded to
+    # its lead and the next q-power, so no element passes unchecked
+    expand = cli.expand_product
+    series = []
+
+    def spy(u, T):
+        s = expand(u, T)
+        series.append(s)
+        return s
+
+    monkeypatch.setattr(cli, "expand_product", spy)
+    for N in range(5, 61):
+        series.clear()
+        code, _, _ = run_cli(capsys, "qcheck", str(N), "--trunc", trunc)
+        assert code == 0, N
+        for s in series:
+            assert s.coeffs, N
+            assert s.trunc_key >= s.lead_key + 2 * 12 * N, N
+
+
+def test_divisor_matrix_and_qcheck_skip_the_class_group(capsys, monkeypatch):
+    expected = [list(row) for row in classgroup.analyze(97).matrix]
+
+    def refuse(*args):
+        raise AssertionError("the class group stage ran")
+
+    classgroup._analyze.cache_clear()
+    monkeypatch.setattr(classgroup, "det_solve", refuse)
+    monkeypatch.setattr(classgroup, "class_number_yu", refuse)
+    try:
+        assert classgroup.divisor_matrix(97) == expected
+        # below every lead at N = 97 (the lowest is q^-12298), so each
+        # element is expanded only to its order at 1/N plus 2
+        code, out, _ = run_cli(capsys, "qcheck", "97", "--trunc=-20000")
+    finally:
+        classgroup._analyze.cache_clear()
+    assert code == 0
+    assert out.splitlines()[-1] == "47/47 ok"
