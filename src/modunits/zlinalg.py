@@ -1,10 +1,16 @@
 """Exact linear algebra over ZZ and QQ.
 
 Dense row-major matrices are plain lists of lists.  Determinants use
-fraction-free (Bareiss) elimination; `det_solve` runs the same elimination
-on the matrix extended by one column b and also returns adj(m)*b.  Given a
-number `avoid`, that one elimination takes pivots coprime to it while it
-can (along the row, else down the column), and at the first step where it
+fraction-free (Bareiss) elimination.  A pass takes two pivots wherever the
+second is the diagonal entry that a one-step pass would keep as its pivot,
+and then takes each later row two levels at once with one exact division
+per entry, a[i][j] <- (p2*a[i][j] - x*a'[j] + c*a[k][j]) / prev (Bareiss's
+two-step update; `_bareiss` defines the terms).  By Sylvester's identity
+the entries are the same minors as in the one-step loop, so every output
+is the same too.  `det_solve` runs the same elimination on the matrix
+extended by one column b and also returns adj(m)*b.  Given a number
+`avoid`, that one elimination takes pivots coprime to it while it can
+(along the row, else down the column), and at the first step where it
 cannot it keeps the trailing block: at every prime of `avoid` the block has
 the Smith form of m less its unit part (Sylvester's identity).  The
 class-group pipeline passes avoid = |det| (known from the analytic route)
@@ -30,7 +36,6 @@ from .errors import ConsistencyError
 from .numtheory import TRIAL_BOUND, trial_factor
 
 IntMatrix = list[list[int]]
-RatMatrix = list[list[Fraction]]
 
 
 def _copy_int(m) -> IntMatrix:
@@ -77,13 +82,31 @@ def _bareiss(a: IntMatrix, avoid: int = 1) -> tuple[int, list[int], IntMatrix]:
     On a nonzero d, a is upper triangular in its leading block, row i is a
     rational combination of the input rows, and a[i][i] is the leading
     (i+1) x (i+1) minor of the row- and column-swapped input.
+
+    A pass takes two pivots where it can (Bareiss's two-step elimination,
+    Math. Comp. 22 (1968)).  With p1 = a[k][k] and prev the pivot before
+    it, row k+1 first takes the one-step update
+    a[k+1][j] <- (p1*a[k+1][j] - a[k+1][k]*a[k][j]) / prev.  If its diagonal
+    p2 is nonzero, and coprime to `avoid` while no block is kept, step k+1
+    would take it as its pivot with no swap, so the two steps fuse: with a'
+    the row k+1 before its update, every row i > k+1 goes at once to
+
+        x = (a[i][k+1]*p1 - a[i][k]*a[k][k+1]) / prev
+        c = (a[i][k+1]*a'[k] - a[i][k]*a'[k+1]) / prev
+        a[i][j] <- (p2*a[i][j] - x*a'[j] + c*a[k][j]) / prev,  j > k+1,
+
+    three products and one exact division per entry for two pivots where
+    one-step updates take four and two.  Both give the same minors, so a,
+    d, cols and block are those of the one-step loop.  Otherwise rows
+    i > k+1 take the one-step update and the next pass is step k+1.
     """
     n = len(a)
     sign = 1
     prev = 1
     cols = list(range(n))
     block = None
-    for k in range(n):
+    k = 0
+    while k < n:
         if not any(a[i][k] for i in range(k, n)):
             return 0, cols, []  # column k is 0 from row k down
         i = None  # the row to swap in
@@ -104,14 +127,27 @@ def _bareiss(a: IntMatrix, avoid: int = 1) -> tuple[int, list[int], IntMatrix]:
             sign = -sign
         if k == n - 1:
             break
-        pivot = a[k][k]
+        pivot, row_k = a[k][k], a[k]
+        ahead = a[k + 1][:]  # row k+1 before its own update
+        pair = False
         for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(k + 1, len(row_i)):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
+            row_i = a[i]
+            aik = row_i[k]
+            if pair:
+                x = (row_i[k + 1] * pivot - aik * row_k[k + 1]) // prev
+                c = (row_i[k + 1] * ahead[k] - aik * ahead[k + 1]) // prev
+                for j in range(k + 2, len(row_i)):
+                    row_i[j] = (p2 * row_i[j] - x * ahead[j] + c * row_k[j]) // prev
+                row_i[k + 1] = 0
+            else:
+                for j in range(k + 1, len(row_i)):
+                    row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
             row_i[k] = 0
-        prev = pivot
+            if i == k + 1:
+                # step k+1 needs no pivot search: fuse it with step k
+                p2 = row_i[k + 1]
+                pair = p2 != 0 and (block is not None or _unit(p2, avoid))
+        prev, k = (p2, k + 2) if pair else (pivot, k + 1)
     return sign * a[n - 1][n - 1], cols, block or []
 
 
@@ -147,6 +183,13 @@ def det_solve(m, b, avoid: int = 1) -> tuple[int, list[int] | None, IntMatrix | 
 
     >>> det_solve([[2, 1], [4, 4]], [1, 1], 4)
     (4, [3, -2], [[-4]])
+
+    Here steps 0 and 1 fuse: after step 0 row 1 is [0, 5, 3 | 3], and its
+    pivot 5 needs no swap, so row 2 goes from [1, 0, 4 | 3] to
+    [0, 0, 19 | 14] in one pass (x = -1, c = -3, prev = 1):
+
+    >>> det_solve([[2, 1, 1], [1, 3, 2], [1, 0, 4]], [1, 2, 3])
+    (19, [1, 3, 14], [])
     """
     if len(b) != len(m):
         raise ValueError("det_solve requires a column as long as the matrix")

@@ -277,6 +277,165 @@ def test_det_solve_swaps_rows_and_columns_for_a_coprime_pivot():
         det_solve(m, b, 0)
 
 
+def _one_step_bareiss(a, avoid=1):
+    # the one-step Bareiss loop, one level per step for every row below the
+    # pivot: the reference that `zlinalg._bareiss`, which fuses pairs of
+    # steps, must match entry for entry
+    n = len(a)
+    sign = 1
+    prev = 1
+    cols = list(range(n))
+    block = None
+    for k in range(n):
+        if not any(a[i][k] for i in range(k, n)):
+            return 0, cols, []  # column k is 0 from row k down
+        i = None  # the row to swap in
+        if block is None and not zlinalg._unit(a[k][k], avoid):
+            j = next((j for j in range(k + 1, n) if zlinalg._unit(a[k][j], avoid)), None)
+            i = None if j is not None else next((i for i in range(k + 1, n) if zlinalg._unit(a[i][k], avoid)), None)
+            if j is not None:
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
+                cols[k], cols[j] = cols[j], cols[k]
+                sign = -sign
+            elif i is None:
+                block = [row[k:n] for row in a[k:]]
+        if i is None and a[k][k] == 0:
+            i = next(i for i in range(k + 1, n) if a[i][k])
+        if i is not None:
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        if k == n - 1:
+            break
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            row_i, row_k = a[i], a[k]
+            for j in range(k + 1, len(row_i)):
+                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1], cols, block or []
+
+
+@st.composite
+def bareiss_inputs(draw):
+    # square or n x (n+1), rows scaled so that pivots share factors with
+    # avoid, and one row in three a multiple of another (a singular block).
+    # The entries come from a seeded random: lists of drawn integers repeat
+    # values so often that most large matrices come out singular
+    n = draw(st.integers(1, 7))
+    width = n + draw(st.integers(0, 1))
+    rng = draw(st.randoms(use_true_random=False))
+    scale = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 12]), min_size=n, max_size=n))
+    m = [[c * rng.randint(-5, 5) for _ in range(width)] for c in scale]
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        f = draw(st.integers(-3, 3))
+        m[i] = [f * x for x in m[j]]
+    avoid = draw(st.sampled_from([1, 2, 4, 6, 12, None]))
+    if avoid is None:
+        avoid = abs(_one_step_bareiss([row[:n] for row in m])[0]) or 1
+    return m, avoid
+
+
+@settings(max_examples=500, deadline=None)
+@given(bareiss_inputs())
+def test_bareiss_matches_the_one_step_loop(case):
+    m, avoid = case
+    a, ref = [row[:] for row in m], [row[:] for row in m]
+    assert zlinalg._bareiss(a, avoid) == _one_step_bareiss(ref, avoid)
+    assert a == ref
+
+
+def _pinned_bareiss(m, avoid, out, eliminated):
+    a, ref = [row[:] for row in m], [row[:] for row in m]
+    assert zlinalg._bareiss(a, avoid) == out
+    assert a == eliminated
+    assert _one_step_bareiss(ref, avoid) == out and ref == eliminated
+
+
+def test_bareiss_fuses_pairs_of_steps():
+    # every second diagonal is a unit: steps 0, 1 and 2, 3 fuse, and rows 2-4
+    # and row 4 take the two-step update (prev = 1 and prev = -1)
+    m = [[1, 2, -1, 1, 2], [2, 3, 1, 0, 1], [2, 3, 2, 3, -2], [1, 2, -1, 0, 1], [-1, -2, 1, 0, -2]]
+    eliminated = [[1, 2, -1, 1, 2], [0, -1, 3, -2, -3], [0, 0, -1, -3, 3], [0, 0, 0, 1, 1], [0, 0, 0, 0, -1]]
+    _pinned_bareiss(m, 1, (-1, [0, 1, 2, 3, 4], []), eliminated)
+    # the det_solve doctest: x = -1 and c = -3 take row 2 to [0, 0, 19 | 14]
+    m = [[2, 1, 1, 1], [1, 3, 2, 2], [1, 0, 4, 3]]
+    _pinned_bareiss(m, 1, (19, [0, 1, 2], []), [[2, 1, 1, 1], [0, 5, 3, 3], [0, 0, 19, 14]])
+
+
+def test_bareiss_second_pivot_sharing_a_factor_is_a_single_step():
+    # avoid = 2: after step 0 a[1][1] = 2 is even, so rows 2 and 3 take one
+    # step; step 1 swaps in column 3 (pivot -1) and fuses with step 2
+    m = [[-1, 2, 2, 1], [-1, 0, 0, 2], [0, -2, -1, 1], [1, 1, 0, -2]]
+    eliminated = [[-1, 1, 2, 2], [0, -1, 2, 2], [0, 0, -1, 0], [0, 0, 0, -1]]
+    _pinned_bareiss(m, 2, (1, [0, 3, 2, 1], []), eliminated)
+
+
+def test_bareiss_second_pivot_zero_is_a_single_step():
+    # avoid = 6: after step 0 row 1 is [0, 0, -2, -3], so rows 2 and 3 take
+    # one step; step 1 finds no unit along row 1, swaps in row 3 (pivot 1)
+    # and fuses with step 2
+    m = [[1, 0, 0, -1], [-2, 0, -2, -1], [-2, -2, -1, 1], [0, 1, 1, 1]]
+    eliminated = [[1, 0, 0, -1], [0, 1, 1, 1], [0, 0, 1, 1], [0, 0, 0, -1]]
+    _pinned_bareiss(m, 6, (1, [0, 1, 2, 3], []), eliminated)
+
+
+class _Counted(int):
+    # sums, differences and products stay _Counted; floor divisions count
+    divisions = 0
+
+    def __add__(self, other):
+        return _Counted(int(self) + other)
+
+    def __sub__(self, other):
+        return _Counted(int(self) - other)
+
+    def __mul__(self, other):
+        return _Counted(int(self) * other)
+
+    def __floordiv__(self, other):
+        _Counted.divisions += 1
+        return _Counted(int(self) // other)
+
+
+def _divisions(bareiss, m, avoid):
+    _Counted.divisions = 0
+    bareiss([[_Counted(x) for x in row] for row in m], avoid)
+    return _Counted.divisions
+
+
+def test_bareiss_fuses_pairs_after_a_kept_block():
+    # avoid = 2: a[1][1] = 6 after step 0, and nothing along row 1 or down
+    # column 1 is odd, so step 1 keeps the block; from there every nonzero
+    # second diagonal fuses, even or not: steps 1, 2 (rows 3, 4 two-step)
+    # and 3, 4.  28 exact divisions against 30 one step at a time
+    m = [[-3, -1, 2, 1, -3], [0, -2, 0, 0, -2], [3, -1, -1, -1, 0], [1, 1, -2, -1, 3], [1, 1, -2, -3, 2]]
+    block = [[6, 0, 0, 6], [6, -3, 0, 9], [-2, 4, 2, -6], [-2, 4, 8, -3]]
+    eliminated = [[-3, -1, 2, 1, -3], [0, 6, 0, 0, 6], [0, 0, 6, 0, -6], [0, 0, 0, -4, 0], [0, 0, 0, 0, 4]]
+    _pinned_bareiss(m, 2, (4, [0, 1, 2, 3, 4], block), eliminated)
+    assert _divisions(zlinalg._bareiss, m, 2) == 28
+    assert _divisions(_one_step_bareiss, m, 2) == 30
+    # row 0 and column 0 are even, so step 0 keeps the whole matrix; then
+    # a[1][1] = 0 is a single step, and step 1 swaps in row 2
+    m = [[-4, -4, 2], [-2, -2, 0], [-2, -1, 0]]
+    _pinned_bareiss(m, 2, (-4, [0, 1, 2], m), [[-4, -4, 2], [0, -4, 4], [0, 0, 4]])
+
+
+def test_bareiss_last_pair():
+    # n = 2: the pair (0, 1) ends the loop, or with avoid = 5 the last
+    # pivot 5 is kept as the block
+    _pinned_bareiss([[2, 1, 1], [1, 3, 2]], 1, (5, [0, 1], []), [[2, 1, 1], [0, 5, 3]])
+    _pinned_bareiss([[2, 1, 1], [1, 3, 2]], 5, (5, [0, 1], [[5]]), [[2, 1, 1], [0, 5, 3]])
+    # n = 3, avoid = 2: a[1][1] = -2 after step 0 and row 1 and column 1 are
+    # even, so step 1 keeps the block and fuses with step 2, the last
+    m = [[-1, 1, -1, 1], [1, 1, 3, 1], [2, -2, 3, -1]]
+    eliminated = [[-1, 1, -1, 1], [0, -2, -2, -2], [0, 0, -2, -2]]
+    _pinned_bareiss(m, 2, (-2, [0, 1, 2], [[-2, -2], [0, -1]]), eliminated)
+
+
 def test_smith_invariants_local_zero_column_sends_every_prime_local():
     # b = 0 gives y = 0 and s = 1, so every prime of det goes to the local step
     rng = random.Random(37)
