@@ -15,9 +15,22 @@ recurrence, the logarithmic derivative (Euler transform) of the product:
     b_k = sum_{d | k} d c_d,        n a_n = -sum_{k=1..n} b_k a_{n-k},
 
 where every division is exact (Apostol, Intro. to Analytic Number Theory
-section 14).  The sum runs only over the k with b_k != 0, found once per
-call: b_k is 0 unless some d | k lies in the support of c, the residues
-+-h mod N of the unit's indices, so many b_k vanish.
+section 14).  Regrouping the sum by the divisor d of k gives
+
+    sum_k b_k a_{n-k} = sum_d d c_d S_d(n),   S_d(n) = sum_{j>=1} a_{n-jd},
+
+over the support of c, the residues +-h mod N of the unit's indices.
+With D the number of q-powers needed (the depth), each support element d
+with d * d <= D keeps S_d as running sums, one per residue class mod d:
+step n first adds a_(n-1) to its class, then reads the class of n.  Each
+other d still adds d c_d to b_k at its multiples k, and the sum runs
+only over the k with b_k != 0.  The rule is d * d <= D and nothing else.
+Every d is counted once, on one side, so each step sums to the same
+integer as the full recurrence, divides it by the same n and still
+raises on a remainder.  A small d would put nonzero b_k at D / d keys;
+as running sums it costs one term per step and d integers, so the sums
+hold at most (D + sqrt(D)) / 2 integers in all.  When no d qualifies, a
+step does no running-sum work.
 """
 
 from dataclasses import dataclass
@@ -111,7 +124,9 @@ def expand_product(u: UnitProduct, T: int = 8) -> QSeries:
     """Expansion of a unit product, exact below exponent T.
 
     The depth in integral q-powers follows from the total leading exponent,
-    so cancellation never costs precision.
+    so cancellation never costs precision.  A support element d of the
+    exponents c enters through running sums when d * d <= depth and
+    through b otherwise (see the module docstring).
     """
     N = u.level
     grid = 12 * N
@@ -122,20 +137,37 @@ def expand_product(u: UnitProduct, T: int = 8) -> QSeries:
     for h, e in u.items():
         c[h % N] += e
         c[-h % N] += e
+    rings = []  # (d, d c_d, the running sums S_d by residue class mod d)
     b = [0] * depth
     for d in range(1, depth):
         dc = d * c[d % N]
-        if dc:
+        if not dc:
+            continue
+        if d * d <= depth:
+            rings.append((d, dc, [0] * d))
+        else:
             for k in range(d, depth, d):
                 b[k] += dc
     # step n pairs b_k with a_(n-k) for the k <= n where b_k != 0 only
     vals = [x for x in b[1:] if x]
     mask = [x != 0 for x in b[1:]]
     a = [1] if depth else []
-    for n in range(1, depth):
-        an, r = divmod(-sum(map(mul, vals, compress(reversed(a), mask))), n)
-        if r:
-            raise ConsistencyError(f"inexact division by {n} expanding {u!r}")
-        a.append(an)
+    if not rings:  # no per-step work for running sums
+        for n in range(1, depth):
+            an, r = divmod(-sum(map(mul, vals, compress(reversed(a), mask))), n)
+            if r:
+                raise ConsistencyError(f"inexact division by {n} expanding {u!r}")
+            a.append(an)
+    else:
+        an = 1  # a_0, which step 1 adds to class 0
+        for n in range(1, depth):
+            s = sum(map(mul, vals, compress(reversed(a), mask)))
+            for d, dc, ring in rings:  # add a_(n-1) to its class, read S_d(n)
+                ring[(n - 1) % d] += an
+                s += dc * ring[n % d]
+            an, r = divmod(-s, n)
+            if r:
+                raise ConsistencyError(f"inexact division by {n} expanding {u!r}")
+            a.append(an)
     # the keys ascend and stay below trunc, and each a_n is an int
     return QSeries(N, tuple((lead + grid * j, x) for j, x in enumerate(a) if x), trunc)

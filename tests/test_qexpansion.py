@@ -210,6 +210,14 @@ def test_expand_product_matches_dense_reference(u, depth):
         (30, {15: 1, 4: 2}, 0),
         (30, {15: 1, 4: 2}, 1),
         (47, {4: 1, 8: -530, 16: 529}, 1),
+        # at depth d^2 the support element d joins the running sums; at
+        # d^2 - 1 it is in b
+        (10, {1: 7, 5: -3}, 121),  # d = 11; 1, 9, 11 in one class; 5 = N/2
+        (10, {1: 7, 5: -3}, 120),
+        (13, {3: -40, 1: 2}, 256),  # d = 16, the second member of the class of 3
+        (13, {3: -40, 1: 2}, 255),
+        (47, {4: 1, 8: -530, 16: 529}, 961),  # d = 31 = 47 - 16, its last ring
+        (47, {4: 1, 8: -530, 16: 529}, 960),
     ],
 )
 def test_expand_product_pinned_against_dense_reference(N, exps, depth):
@@ -221,4 +229,23 @@ def test_expand_product_pinned_against_dense_reference(N, exps, depth):
     s = expand_product(u, T)
     assert s == _dense_reference(u, T)
     assert len(s.coeffs) <= depth and (depth == 0) == (not s.coeffs)
+    _assert_well_formed(s)
+
+
+@st.composite
+def small_level_products(draw):
+    # small N put several members of one residue class +-h mod N below
+    # sqrt(depth); h = 1 and h = N/2 are in range
+    N = draw(st.integers(5, 19))
+    indices = draw(st.lists(st.integers(1, N // 2), min_size=1, max_size=3, unique=True))
+    exps = {h: draw(st.integers(-600, 600).filter(bool)) for h in indices}
+    return UnitProduct(N, exps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_level_products(), st.integers(0, 400))
+def test_running_sums_match_dense_reference(u, depth):
+    T = _truncation_for_depth(u, depth)
+    s = expand_product(u, T)
+    assert s == _dense_reference(u, T)
     _assert_well_formed(s)
