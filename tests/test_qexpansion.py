@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import comb
 
@@ -249,3 +250,32 @@ def test_running_sums_match_dense_reference(u, depth):
     s = expand_product(u, T)
     assert s == _dense_reference(u, T)
     _assert_well_formed(s)
+
+
+def test_deepest_basis_series_at_61_pinned():
+    # the three deepest basis elements at N = 61, expanded to q^8 from
+    # their leads (about q^-2285); no certify digest reaches this level,
+    # so each full coefficient tuple is pinned by its SHA-256
+    pinned = {
+        "E5*E20^900/(E10^901)": (
+            2293,
+            "4d05dbd181ed5ca2d4a5debf754bb8e27daf8c90fc5e2339890022277357d42e",
+        ),
+        "E22^900*E25/(E11^901)": (
+            2283,
+            "4cc2a41bb4a59229af02cd9203ea449fb45acbee29a0a350bea59eaec0ce0a50",
+        ),
+        "E18^900*E26/(E9^901)": (
+            2269,
+            "6e01f67e4510fbcc6dd12c59514d3fd9ab6cf9744cf5e601c7ed20336cbcd31b",
+        ),
+    }
+    depths = {el.display: 8 - _truncation_for_depth(el.unit, 0) for el in basis(61)}
+    deepest = sorted(depths, key=depths.get)[-3:]
+    assert set(deepest) == set(pinned)
+    for el in basis(61):
+        if el.display in pinned:
+            depth, digest = pinned[el.display]
+            assert depths[el.display] == depth
+            s = expand_product(el.unit, 8)
+            assert hashlib.sha256(repr(s.coeffs).encode()).hexdigest() == digest
