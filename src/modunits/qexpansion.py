@@ -20,17 +20,24 @@ section 14).  Regrouping the sum by the divisor d of k gives
     sum_k b_k a_{n-k} = sum_d d c_d S_d(n),   S_d(n) = sum_{j>=1} a_{n-jd},
 
 over the support of c, the residues +-h mod N of the unit's indices.
-With D the number of q-powers needed (the depth), each support element d
-with d * d <= D keeps S_d as running sums, one per residue class mod d:
-step n first adds a_(n-1) to its class, then reads the class of n.  Each
-other d still adds d c_d to b_k at its multiples k, and the sum runs
-only over the k with b_k != 0.  The rule is d * d <= D and nothing else.
-Every d is counted once, on one side, so each step sums to the same
-integer as the full recurrence, divides it by the same n and still
-raises on a remainder.  A small d would put nonzero b_k at D / d keys;
-as running sums it costs one term per step and d integers, so the sums
-hold at most (D + sqrt(D)) / 2 integers in all.  When no d qualifies, a
-step does no running-sum work.
+With D the number of q-powers needed (the depth), the support elements
+d are taken in ascending order, and d keeps S_d as running sums, one per
+residue class mod d, when 5 * d <= D and the rings' total size (the sum
+of their d) stays at most D.  Step n first adds a_(n-1) to the class of
+n - 1 mod d, then reads the class of n.  Every other d still adds d c_d
+to b_k at its multiples k, and the sum runs only over the k with
+b_k != 0.  The rule has no option: the factor 5 and the budget D are
+fixed.  Every d is counted once, on one side, so each step sums to
+the same integer as the full recurrence, divides it by the same n and
+still raises on a remainder.
+
+The factor 5 is a cost ratio.  The multiples of d put up to D / d
+nonzero b_k into the sum, about D^2 / (2d) products over all steps,
+while a ring costs one interpreted step at each of the D - 1 steps,
+and one ring step costs about 2.5 products.  So the ring is cheaper
+when 5 d (D - 1) <= D^2, which 5 * d <= D ensures.  The budget bounds
+the memory: the rings hold at most D integers, no more than the series.
+When no d qualifies, a step does no running-sum work.
 """
 
 from dataclasses import dataclass
@@ -124,9 +131,10 @@ def expand_product(u: UnitProduct, T: int = 8) -> QSeries:
     """Expansion of a unit product, exact below exponent T.
 
     The depth in integral q-powers follows from the total leading exponent,
-    so cancellation never costs precision.  A support element d of the
-    exponents c enters through running sums when d * d <= depth and
-    through b otherwise (see the module docstring).
+    so cancellation never costs precision.  The support elements d of the
+    exponents c enter through running sums, in ascending order, while
+    5 * d <= depth and the rings' sizes d sum to at most depth; every
+    other d enters through b (see the module docstring).
     """
     N = u.level
     grid = 12 * N
@@ -138,13 +146,15 @@ def expand_product(u: UnitProduct, T: int = 8) -> QSeries:
         c[h % N] += e
         c[-h % N] += e
     rings = []  # (d, d c_d, the running sums S_d by residue class mod d)
+    slots = 0  # integers the rings hold, at most depth
     b = [0] * depth
     for d in range(1, depth):
         dc = d * c[d % N]
         if not dc:
             continue
-        if d * d <= depth:
+        if 5 * d <= depth and slots + d <= depth:
             rings.append((d, dc, [0] * d))
+            slots += d
         else:
             for k in range(d, depth, d):
                 b[k] += dc

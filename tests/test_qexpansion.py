@@ -211,14 +211,22 @@ def test_expand_product_matches_dense_reference(u, depth):
         (30, {15: 1, 4: 2}, 0),
         (30, {15: 1, 4: 2}, 1),
         (47, {4: 1, 8: -530, 16: 529}, 1),
-        # at depth d^2 the support element d joins the running sums; at
-        # d^2 - 1 it is in b
+        # depths d^2 and d^2 - 1 for a support element d, where the rings
+        # take several members of one residue class mod N
         (10, {1: 7, 5: -3}, 121),  # d = 11; 1, 9, 11 in one class; 5 = N/2
         (10, {1: 7, 5: -3}, 120),
         (13, {3: -40, 1: 2}, 256),  # d = 16, the second member of the class of 3
         (13, {3: -40, 1: 2}, 255),
         (47, {4: 1, 8: -530, 16: 529}, 961),  # d = 31 = 47 - 16, its last ring
         (47, {4: 1, 8: -530, 16: 529}, 960),
+        # the 5 * d edge: d = 43 > sqrt(215) joins the rings at depth 215
+        # (141 slots), and at 214 it is in b
+        (47, {4: 1, 8: -530, 16: 529}, 215),
+        (47, {4: 1, 8: -530, 16: 529}, 214),
+        # the slot budget: d = 16 fills it exactly at depth 106 (106 slots);
+        # at 105 it is in b although 5 * 16 <= 105
+        (5, {1: 3, 2: -2}, 106),
+        (5, {1: 3, 2: -2}, 105),
     ],
 )
 def test_expand_product_pinned_against_dense_reference(N, exps, depth):
@@ -235,8 +243,8 @@ def test_expand_product_pinned_against_dense_reference(N, exps, depth):
 
 @st.composite
 def small_level_products(draw):
-    # small N put several members of one residue class +-h mod N below
-    # sqrt(depth); h = 1 and h = N/2 are in range
+    # small N put several members of one residue class +-h mod N among
+    # the rings, and the slot budget binds; h = 1 and h = N/2 are in range
     N = draw(st.integers(5, 19))
     indices = draw(st.lists(st.integers(1, N // 2), min_size=1, max_size=3, unique=True))
     exps = {h: draw(st.integers(-600, 600).filter(bool)) for h in indices}
@@ -270,12 +278,10 @@ def test_deepest_basis_series_at_61_pinned():
             "6e01f67e4510fbcc6dd12c59514d3fd9ab6cf9744cf5e601c7ed20336cbcd31b",
         ),
     }
-    depths = {el.display: 8 - _truncation_for_depth(el.unit, 0) for el in basis(61)}
-    deepest = sorted(depths, key=depths.get)[-3:]
-    assert set(deepest) == set(pinned)
-    for el in basis(61):
-        if el.display in pinned:
-            depth, digest = pinned[el.display]
-            assert depths[el.display] == depth
-            s = expand_product(el.unit, 8)
-            assert hashlib.sha256(repr(s.coeffs).encode()).hexdigest() == digest
+    elements = {el.display: el for el in basis(61)}
+    depths = {k: 8 - _truncation_for_depth(el.unit, 0) for k, el in elements.items()}
+    assert set(sorted(depths, key=depths.get)[-3:]) == set(pinned)
+    for display, (depth, digest) in pinned.items():
+        assert depths[display] == depth
+        s = expand_product(elements[display].unit, 8)
+        assert hashlib.sha256(repr(s.coeffs).encode()).hexdigest() == digest
