@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -58,6 +59,20 @@ def test_class_numbers_examples():
     assert class_number_lattice(32) == 279360
     assert class_number_lattice(36) == 31248
     assert class_number_yu(8) == 1
+
+
+def test_class_number_yu_pinned_at_large_levels():
+    # no lattice route runs at these levels in tier-1, so the full decimal
+    # digits of the analytic class number are pinned by their SHA-256
+    pinned = {
+        729: (681, "9fa0ac7dff05bd611336a37cfd56337ea8acce664a15421c30f14f04ea5fd1de"),
+        1024: (782, "684db0bea779fdbd287fcf8d38e2677206d5c7259bbe566d28f8416cf078fbd4"),
+        1458: (827, "839bd707489dedabfc88148ea3d346e385a02cdfaa54b0ba0cd15a3f5a9bd473"),
+    }
+    for N, (digits, digest) in pinned.items():
+        h = str(class_number_yu(N))
+        assert len(h) == digits, N
+        assert hashlib.sha256(h.encode()).hexdigest() == digest, N
 
 
 def test_analyze_rejects_small_level():
