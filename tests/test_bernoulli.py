@@ -3,8 +3,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modunits import bernoulli
+from modunits import bernoulli, classgroup
 from modunits.bernoulli import (
     _even_character_orbits,
     _orbit_norm,
@@ -21,8 +23,9 @@ from modunits.bernoulli import (
     yu_prefactor,
 )
 from modunits.errors import ConsistencyError
-from modunits.numtheory import b2, divisors, euler_phi, factorize
-from modunits.zlinalg import det, mat_mul
+from modunits.numtheory import b2, divisors, euler_phi, factorize, is_prime
+from modunits.siegel import LevelContext
+from modunits.zlinalg import det, det_int, mat_mul
 
 
 def test_matrix_entries_generator_ordering():
@@ -253,6 +256,128 @@ def test_orbit_norm_values():
         _orbit_norm([0] * 6, 6)
     with pytest.raises(ConsistencyError):
         _orbit_norm([1, 1, 1], 3)  # Phi_3 itself vanishes at zeta_3
+
+
+def _matrix_orbit_norm(coeffs, d):
+    # the reference: the determinant of multiplication by C on Z[x]/Phi_d,
+    # whose rows are x^i * C reduced mod the monic Phi_d, for i < phi(d)
+    phi = cyclotomic(d)
+    m = len(phi) - 1
+    row = list(coeffs)
+    for i in range(len(row) - 1, m - 1, -1):
+        for j in range(m):
+            row[i - m + j] -= row[i] * phi[j]
+    row, rows = row[:m], []
+    for _ in range(m):
+        rows.append(row)
+        t = row[-1]
+        row = [0] + row[:-1]
+        row = [r - t * c for r, c in zip(row, phi)]
+    return det_int(rows)
+
+
+# primes, prime powers, and composite d; Phi_105 has a coefficient -2
+NORM_ORDERS = (2, 3, 5, 7, 13, 31, 4, 8, 9, 16, 25, 27, 49, 12, 60, 105)
+
+
+@st.composite
+def orbit_polys(draw):
+    d = draw(st.sampled_from(NORM_ORDERS))
+    g = draw(st.integers(1, 12))
+    # mostly zero small entries give remainders whose degree drops by more
+    # than one, where the sign and the h-update of the sequence matter
+    sparse = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3))
+    entries = draw(st.sampled_from((sparse, st.integers(-40, 40))))
+    coeffs = draw(st.lists(entries, min_size=d, max_size=d))
+    return [g * c for c in coeffs], d
+
+
+@settings(max_examples=120, deadline=None)
+@given(orbit_polys())
+def test_orbit_norm_matches_matrix_reference(case):
+    coeffs, d = case
+    ref = _matrix_orbit_norm(coeffs, d)
+    if ref == 0:  # C = 0 mod Phi_d
+        with pytest.raises(ConsistencyError):
+            _orbit_norm(coeffs, d)
+    else:
+        assert _orbit_norm(coeffs, d) == ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orbit_norm_of_a_multiple_of_phi_raises(data):
+    d = data.draw(st.sampled_from(NORM_ORDERS))
+    m = euler_phi(d)
+    q = data.draw(st.lists(st.integers(-9, 9), min_size=d - m, max_size=d - m).filter(any))
+    with pytest.raises(ConsistencyError):
+        _orbit_norm(_poly_mul(cyclotomic(d), q), d)
+
+
+def test_orbit_norm_checks_that_phi_is_irreducible(monkeypatch):
+    # x^2 - 1 in place of Phi_2 shares the factor x + 1 with C = 1 + x
+    monkeypatch.setattr(bernoulli, "cyclotomic", lambda d: (-1, 0, 1))
+    with pytest.raises(ConsistencyError, match="irreducible"):
+        _orbit_norm([1, 1], 2)
+
+
+def _orbit_polys(N):
+    # (d, C) per orbit, as `nonprincipal_quarter_product` builds them
+    ctx = LevelContext.of(N)
+    keys = [ctx.lead_keys[a] for a in ctx.cusps]
+    for d, exps in _even_character_orbits(N):
+        coeffs = [0] * d
+        for k, e in zip(keys, exps):
+            coeffs[e] += k
+        yield d, coeffs
+
+
+def _assert_norm_mod_primes(coeffs, d):
+    # where the matrix is too slow: Res(Phi_d, C) = prod C(w^k) mod q over
+    # gcd(k, d) = 1, with w of order d mod a prime q = 1 mod d
+    norm = _orbit_norm(coeffs, d)
+    q, checked = (1 << 61) // d * d + 1, 0
+    while checked < 2:
+        q += d
+        if not is_prime(q):
+            continue
+        w = next(
+            w
+            for w in (pow(x, (q - 1) // d, q) for x in range(2, q))
+            if all(pow(w, d // p, q) != 1 for p, _ in factorize(d))
+        )
+        expected = 1
+        for k in range(1, d):
+            if gcd(k, d) == 1:
+                z, v = pow(w, k, q), 0
+                for c in reversed(coeffs):
+                    v = (v * z + c) % q
+                expected = expected * v % q
+        assert norm % q == expected, (d, q)
+        checked += 1
+
+
+def test_orbit_norm_mod_primes_at_729():
+    (coeffs,) = [c for d, c in _orbit_polys(729) if d == 243]
+    _assert_norm_mod_primes(coeffs, 243)
+
+
+@pytest.mark.extended
+def test_orbit_norm_mod_primes_at_1331():
+    (coeffs,) = [c for d, c in _orbit_polys(1331) if d == 605]
+    _assert_norm_mod_primes(coeffs, 605)
+    h = classgroup.class_number_yu(1331)
+    assert isinstance(h, int) and h > 0
+
+
+def test_no_determinant_on_the_analytic_route(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("det_int called on the analytic route")
+
+    monkeypatch.setattr(bernoulli, "det_int", refuse)
+    assert classgroup.class_number_yu.__wrapped__(243) > 0  # past the cache
+    for N in range(5, 101):
+        assert nonprincipal_quarter_product(N) > 0
 
 
 def test_orbit_coverage_check(monkeypatch):

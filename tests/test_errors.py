@@ -35,6 +35,10 @@ def test_broken_invariants_raise_under_optimize():
             basis(15)
         except ConsistencyError as exc:
             print("basis:", exc)
+        try:
+            import_module("modunits.bernoulli")._orbit_norm([1, 1, 1], 3)  # C = Phi_3: norm 0
+        except ConsistencyError as exc:
+            print("bernoulli:", exc)
         """
     )
     env = dict(os.environ)
@@ -44,4 +48,4 @@ def test_broken_invariants_raise_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["siegel", "basis"], proc.stdout
+    assert [line.split(":")[0] for line in lines] == ["siegel", "basis", "bernoulli"], proc.stdout
