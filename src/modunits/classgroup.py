@@ -13,7 +13,9 @@ import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from math import gcd
 from numbers import Rational
+from operator import mul
 
 from .basis import BasisElement, basis
 from .bernoulli import nonprincipal_quarter_product, yu_prefactor
@@ -86,6 +88,10 @@ class ClassGroupReport:
     #: and b = `_solve_column`; `_analyze` passes `det_solve` the rows in
     #: another order and multiplies its det and y by the sign of that order
     solve: tuple[int, tuple[int, ...]]
+    #: (block, pivot rows, column order) from that `det_solve`, which the
+    #: tracked local step reads; kept only when the step has moduli
+    #: (gcd(h, y) > 1), else empty
+    kept: tuple
 
     @property
     def class_number(self) -> int:
@@ -105,17 +111,45 @@ class ClassGroupReport:
         coords = _partial_sum_coords(self.matrix)
         if not coords:
             return (), (), ()
-        diag, F, G = smith_transforms_local(coords, *self.solve)
+        block, rows, cols = self.kept
+        diag, F, G = smith_transforms_local(block, *self.solve, rows, cols)
         if tuple(diag) != self.structure.invariants:
             raise ConsistencyError(f"N={self.N}: the tracked local Smith elimination disagrees with the structure")
-        for d, f in zip(diag, F):
-            if any(sum(x * c for x, c in zip(row, f)) % d for row in coords):
-                raise ConsistencyError(f"N={self.N}: a class coordinate mod {d} is nonzero on a relation")
+        d = _nonzero_on_a_row(coords, F, diag)
+        if d is not None:
+            raise ConsistencyError(f"N={self.N}: a class coordinate mod {d} is nonzero on a relation")
         for i, g in enumerate(G):
             for j, (d, f) in enumerate(zip(diag, F)):
-                if (sum(x * c for x, c in zip(g, f)) - (i == j)) % d:
+                if (sum(map(mul, g, f)) - (i == j)) % d:
                     raise ConsistencyError(f"N={self.N}: generator {i} does not have coordinates e_{i}")
         return tuple(diag), tuple(tuple(f) for f in F), tuple(tuple(g) for g in G)
+
+
+def _nonzero_on_a_row(rows, F, moduli) -> int | None:
+    """A modulus d_j = moduli[j] with row.F[j] != 0 mod d_j for some row,
+    else None.
+
+    One dot product per row gives every row.F[j] (Kronecker substitution):
+    F[j] fills a slot of w_j bits in one integer per column, and w_j holds
+    |row.F[j]| <= (largest sum of |row|) * max |F[j]| with a sign bit.
+    """
+    span = max(sum(map(abs, row)) for row in rows)
+    widths = [(span * max(map(abs, f))).bit_length() + 1 for f in F]
+    packed = [0] * len(rows[0])
+    shift = 0
+    for w, f in zip(widths, F):
+        packed = [p + (x << shift) for p, x in zip(packed, f)]
+        shift += w
+    for row in rows:
+        acc = sum(map(mul, row, packed))
+        for w, d in zip(widths, moduli):
+            x = acc & ((1 << w) - 1)  # the low slot in two's complement
+            if x >> (w - 1):
+                x -= 1 << w
+            if x % d:
+                return d
+            acc = (acc - x) >> w
+    return None
 
 
 def _divisor_rows(N: int, elements: tuple[BasisElement, ...]) -> list[list[int]]:
@@ -217,7 +251,7 @@ def _analyze(N: int, generator: int | None) -> ClassGroupReport:
     order = [i for i, el in enumerate(elements) if el.sublevel == N][::-1]
     order += [i for i, el in enumerate(elements) if el.sublevel != N]
     b = _solve_column(len(coords))
-    det, y, block = det_solve([coords[i] for i in order], [b[i] for i in order], h_yu) if coords else (1, [], [])
+    det, y, block, pivot_rows, cols = det_solve([coords[i] for i in order], [b[i] for i in order], h_yu) if coords else (1, [], [], [], [])
     if _is_odd(order) and det:
         det, y = -det, [-x for x in y]  # (det A, adj(A)*b) of the basis-order A
     timings.append(("det_solve", time.perf_counter() - t0))
@@ -243,6 +277,7 @@ def _analyze(N: int, generator: int | None) -> ClassGroupReport:
         matrix=tuple(tuple(r) for r in rows),
         timings=tuple(timings),
         solve=(det, tuple(y)),
+        kept=(block, pivot_rows, cols) if gcd(h_yu, *y) > 1 else ((), (), ()),
     )
 
 
@@ -316,7 +351,7 @@ def class_coordinates(N: int, div: list[int], generator: int | None = None) -> l
         raise ValueError("divisor must have degree 0")
     diag, F, _ = analyze(N, generator)._quotient
     coords = _partial_sum_coords([[int(x) for x in div]])[0]
-    return [(sum(x * c for x, c in zip(coords, f)) % d, d) for d, f in zip(diag, F)]
+    return [(sum(map(mul, coords, f)) % d, d) for d, f in zip(diag, F)]
 
 
 def is_principal(N: int, div: list[int], generator: int | None = None) -> bool:

@@ -22,22 +22,25 @@ section 14).  Regrouping the sum by the divisor d of k gives
 over the support of c, the residues +-h mod N of the unit's indices.
 With D the number of q-powers needed (the depth), the support elements
 d are taken in ascending order, and d keeps S_d as running sums, one per
-residue class mod d, when 5 * d <= D and the rings' total size (the sum
-of their d) stays at most D.  Step n first adds a_(n-1) to the class of
-n - 1 mod d, then reads the class of n.  Every other d still adds d c_d
-to b_k at its multiples k, and the sum runs only over the k with
-b_k != 0.  The rule has no option: the factor 5 and the budget D are
-fixed.  Every d is counted once, on one side, so each step sums to
-the same integer as the full recurrence, divides it by the same n and
-still raises on a remainder.
+residue class mod d, when 5 * d <= D (11 * d <= D for the first ring)
+and the rings' total size (the sum of their d) stays at most D.  Step n
+first adds a_(n-1) to the class of n - 1 mod d, then reads the class of
+n.  Every other d still adds d c_d to b_k at its multiples k, and the
+sum runs only over the k with b_k != 0.  The rule has no option: the
+factors 5 and 11 and the budget D are fixed.  Every d is counted once,
+on one side, so each step sums to the same integer as the full
+recurrence, divides it by the same n and still raises on a remainder.
 
-The factor 5 is a cost ratio.  The multiples of d put up to D / d
+The factors are cost ratios.  The multiples of d put up to D / d
 nonzero b_k into the sum, about D^2 / (2d) products over all steps,
 while a ring costs one interpreted step at each of the D - 1 steps,
 and one ring step costs about 2.5 products.  So the ring is cheaper
-when 5 d (D - 1) <= D^2, which 5 * d <= D ensures.  The budget bounds
-the memory: the rings hold at most D integers, no more than the series.
-When no d qualifies, a step does no running-sum work.
+when 5 d (D - 1) <= D^2, which 5 * d <= D ensures.  The first ring also
+brings in the ring loop, which costs about 3 products at every step
+whatever the rings hold, so it pays when 2 (2.5 + 3) d <= D, that is
+11 * d <= D; below that depth a step does no running-sum work.  The
+budget bounds the memory: the rings hold at most D integers, no more
+than the series.
 """
 
 from dataclasses import dataclass
@@ -133,8 +136,9 @@ def expand_product(u: UnitProduct, T: int = 8) -> QSeries:
     The depth in integral q-powers follows from the total leading exponent,
     so cancellation never costs precision.  The support elements d of the
     exponents c enter through running sums, in ascending order, while
-    5 * d <= depth and the rings' sizes d sum to at most depth; every
-    other d enters through b (see the module docstring).
+    5 * d <= depth (11 * d <= depth for the first) and the rings' sizes d
+    sum to at most depth; every other d enters through b (see the module
+    docstring).
     """
     N = u.level
     grid = 12 * N
@@ -152,7 +156,7 @@ def expand_product(u: UnitProduct, T: int = 8) -> QSeries:
         dc = d * c[d % N]
         if not dc:
             continue
-        if 5 * d <= depth and slots + d <= depth:
+        if (5 if rings else 11) * d <= depth and slots + d <= depth:
             rings.append((d, dc, [0] * d))
             slots += d
         else:

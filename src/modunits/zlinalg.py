@@ -21,16 +21,22 @@ part, and |det|/s is covered by moduli r, each with its own elimination over
 Z/r^K.  The moduli are the primes found by bounded trial division and the
 cofactor left over; a composite modulus is split whenever a pivot's unit
 part shares a factor with it (dynamic evaluation), so nothing has to be
-factored.  The same local elimination of the whole matrix, with its column
-steps mirrored on a transform V and its inverse W, gives the coordinates
-and generators of Z^n / rowspace(m) (`smith_transforms_local`).  The
-unbounded Hermite and Smith normal forms (`hnf`, `snf_with_transforms`) use
-integer row/column reduction with smallest-pivot selection and serve as
-reference routines for the tests.  All results are exact.
+factored.  Knowing that the exponents mod r sum to v_r(|det|), each
+elimination shrinks its modulus as the exponents it has found bound the
+rest.  The same local elimination of the block, with its column steps
+mirrored on a transform V and its inverse W, gives the coordinates and
+generators of Z^n / rowspace(m) (`smith_transforms_local`): each column
+of V is lifted to a column of m by back substitution on the pivot rows
+that `det_solve` eliminated before the block, whose diagonals are units
+at the primes of |det|, and each row of W is padded with zeros in front.
+The unbounded Hermite and Smith normal forms (`hnf`, `snf_with_transforms`)
+use integer row/column reduction with smallest-pivot selection and serve
+as reference routines for the tests.  All results are exact.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import ConsistencyError
 from .numtheory import TRIAL_BOUND, trial_factor
@@ -159,10 +165,10 @@ def det_int(m) -> int:
     return _bareiss(a)[0]
 
 
-def det_solve(m, b, avoid: int = 1) -> tuple[int, list[int] | None, IntMatrix | None]:
-    """(det m, adj(m)*b, block) for a square integer matrix m and an integer
-    column b, from one Bareiss elimination of [m | b]; the last two items
-    are None when det m == 0.
+def det_solve(m, b, avoid: int = 1) -> tuple[int, list[int] | None, IntMatrix | None, IntMatrix | None, list[int] | None]:
+    """(det m, adj(m)*b, block, rows, cols) for a square integer matrix m and
+    an integer column b, from one Bareiss elimination of [m | b]; the last
+    four items are None when det m == 0.
 
     adj(m)*b = det(m) * m^{-1} b, found by fraction-free back substitution
     and given in the input column order.  Step k takes a pivot coprime to
@@ -174,21 +180,30 @@ def det_solve(m, b, avoid: int = 1) -> tuple[int, list[int] | None, IntMatrix | 
     structure of m.  With the default avoid = 1 the block is [] and the
     pivots are plain Bareiss.  det and adj(m)*b do not depend on `avoid`.
 
+    rows are the k = n - len(block) pivot rows eliminated before the block,
+    which the back substitution reads.  They are upper triangular in their
+    first k columns, and each diagonal entry, a leading minor, is coprime to
+    `avoid`.  Over Z_(r) at every prime r of `avoid`, they and the block
+    with k zero columns in front span the rowspace of m.  Their columns,
+    like the block's, are in the order cols: cols[j] is the input column
+    now at j.  `smith_transforms_local(block, det, y, rows, cols)` lifts the
+    coordinates of the block through them.
+
     >>> det_solve([[2, 0], [0, 3]], [1, 1])
-    (6, [3, 2], [])
+    (6, [3, 2], [], [[2, 0], [0, 6]], [0, 1])
 
     Here the first pivot, 2, is even and row 0 has an odd entry in column 1,
     so columns 0 and 1 swap; the second pivot, -4, is even, and the 1 x 1
     block holds the whole 2-part:
 
     >>> det_solve([[2, 1], [4, 4]], [1, 1], 4)
-    (4, [3, -2], [[-4]])
+    (4, [3, -2], [[-4]], [[1, 2]], [1, 0])
 
     Here steps 0 and 1 fuse: after step 0 row 1 is [0, 5, 3 | 3], and its
     pivot 5 needs no swap, so row 2 goes from [1, 0, 4 | 3] to
     [0, 0, 19 | 14] in one pass (x = -1, c = -3, prev = 1):
 
-    >>> det_solve([[2, 1, 1], [1, 3, 2], [1, 0, 4]], [1, 2, 3])
+    >>> det_solve([[2, 1, 1], [1, 3, 2], [1, 0, 4]], [1, 2, 3])[:3]
     (19, [1, 3, 14], [])
     """
     if len(b) != len(m):
@@ -201,7 +216,7 @@ def det_solve(m, b, avoid: int = 1) -> tuple[int, list[int] | None, IntMatrix | 
         raise ValueError("det_solve requires a square matrix")
     d, cols, block = _bareiss(a, avoid)
     if d == 0:
-        return 0, None, None
+        return 0, None, None, None, None
     # the eliminated rows say sum_j a[i][j] x_j = a[i][n] in the swapped
     # column order; with y = d' x for d' = a[n-1][n-1] = +-d every division
     # below is exact (Cramer)
@@ -214,7 +229,7 @@ def det_solve(m, b, avoid: int = 1) -> tuple[int, list[int] | None, IntMatrix | 
     y = [0] * n
     for j, c in enumerate(cols):
         y[c] = x[j] if top == d else -x[j]
-    return d, y, block
+    return d, y, block, [row[:n] for row in a[: n - len(block)]], cols
 
 
 def det(m) -> Fraction:
@@ -396,7 +411,7 @@ def _balanced(x: int, D: int) -> int:
     return x - D if 2 * x > D else x
 
 
-def _local_smith(m, r: int, K: int, track: bool):
+def _local_smith(m, r: int, K: int, track: bool, shrink: bool = False):
     # Smith elimination of a square matrix over Z/r^K: while every remaining
     # entry is 0 mod r^v, an entry that is not 0 mod r^(v+1) is the pivot.
     # If its unit part shares a factor g with r (r composite), this returns
@@ -406,6 +421,11 @@ def _local_smith(m, r: int, K: int, track: bool):
     # col_k -= c*col_j that clear the pivot row are mirrored on V (V[k] holds
     # column k) and their inverses row_j += c*row_k on W = V^{-1}; rows of W
     # are written only at their own pivot, so row k is still e_k there.
+    # With `shrink` the caller knows that K - 1 = v_r(det m), the sum of the
+    # exponents.  Once every remaining entry is 0 mod r^v, none of the m'
+    # exponents left exceeds K - 1 - (those taken) - (m' - 1) v, so the rest
+    # runs mod r to the power one more.  If the exponents of m sum to
+    # anything else, those found still miss K - 1, which the caller checks.
     q = r**K
     rows = [[x % q for x in row] for row in _copy_int(m)]
     n = len(rows)
@@ -414,6 +434,7 @@ def _local_smith(m, r: int, K: int, track: bool):
     cols = list(range(n))
     V, W = (identity(n), identity(n)) if track else (None, None)
     out: list[tuple[int, int]] = []
+    left = K - 1  # with `shrink`, the exponents not yet taken sum to this
     v, pv = 0, 1  # every remaining entry is 0 mod pv = r^v
     while rows:
         step = pv * r
@@ -421,6 +442,11 @@ def _local_smith(m, r: int, K: int, track: bool):
         if hit is None:
             if v + 1 < K:
                 v, pv = v + 1, step
+                if shrink:
+                    top = max(left - (len(rows) - 1) * v, v) + 1
+                    if top < K:
+                        K, q = top, r**top
+                        rows = [[x % q for x in row] for row in rows]
                 continue
             out += [(K, k) for k in cols]
             break
@@ -445,6 +471,7 @@ def _local_smith(m, r: int, K: int, track: bool):
                     V[cols[k]] = [(a - c * b) % q for a, b in zip(V[cols[k]], vj)]
                     wj[cols[k]] = c
         out.append((v, cols.pop(j)))
+        left -= v
     return 1, out, V, W
 
 
@@ -466,7 +493,34 @@ def _coprime_base(nums: list[int]) -> list[int]:
     return out
 
 
-def _smith_local(m, det: int, y: list[int], track: bool):
+def _lift(rows, fs, D: int) -> IntMatrix:
+    # each column f of the block widened to (-A11^{-1} A12 f, f) mod D, so
+    # that it is 0 mod D on the pivot rows [A11 | A12] too: back
+    # substitution, whose pivots are units mod D.  The columns are packed
+    # into one integer per entry, column c in the w bits from c*w on, so each
+    # row is reduced, its pivot inverted and its dot product taken once for
+    # all of them (Kronecker substitution); w bits hold a sum of n products
+    # of residues mod D
+    k, n = len(rows), len(rows) + len(fs[0])
+    w = (n * (D - 1) ** 2).bit_length()
+    mask = (1 << w) - 1
+    packed = [0] * k + [sum((x % D) << (c * w) for c, x in enumerate(entry)) for entry in zip(*fs)]
+    for i in range(k - 1, -1, -1):
+        pivot, *tail = [x % D for x in rows[i][i:]]
+        neg_inv = -pow(pivot, -1, D)
+        acc = sum(map(mul, tail, packed[i + 1 :]))
+        packed[i] = sum((neg_inv * ((acc >> (c * w)) & mask) % D) << (c * w) for c in range(len(fs)))
+    return [[(x >> (c * w)) & mask for x in packed] for c in range(len(fs))]
+
+
+def _unswap(x: list[int], cols) -> list[int]:
+    out = [0] * len(x)
+    for c, v in zip(cols, x):
+        out[c] = v
+    return out
+
+
+def _smith_local(m, det: int, y: list[int], track: bool, rows=(), cols=None):
     h = abs(det)
     s = h // gcd(h, *y)
     factors, rest = trial_factor(h // s, TRIAL_BOUND)
@@ -482,7 +536,7 @@ def _smith_local(m, det: int, y: list[int], track: bool):
             w, e = w // r, e + 1
         split = gcd(w, r)
         if split == 1:
-            split, pivots, V, W = _local_smith(m, r, e + 1, track)
+            split, pivots, V, W = _local_smith(m, r, e + 1, track, True)  # shrink
         if split > 1:
             todo = _coprime_base(todo + [split, r // split])
             continue
@@ -491,6 +545,14 @@ def _smith_local(m, det: int, y: list[int], track: bool):
         if total != e:
             raise ConsistencyError(f"local Smith exponents mod {r} sum to {total}, not v_r(det) = {e}")
         cyclic //= r**e
+        if track:
+            # the columns of V and rows of W that the pivots name, widened
+            # from the block to the whole matrix in its input column order:
+            # a column is needed mod its own r^v only, so all are lifted mod
+            # the largest, the last pivot's, and a row takes k zeros in front
+            lifted = _lift(rows, [V[k] for _, k in pivots], r ** pivots[-1][0])
+            V = {k: _unswap(f, cols) for (_, k), f in zip(pivots, lifted)}
+            W = {k: _unswap([0] * len(rows) + W[k], cols) for _, k in pivots}
         for t, (v, k) in enumerate(reversed(pivots)):
             pieces.append((-1 - t, r**v, r**e, V[k] if track else None, W[k] if track else None))
     if cyclic > 1:
@@ -546,27 +608,52 @@ def smith_invariants_local(m, det: int, y: list[int]) -> list[int]:
     return _smith_local(m, det, y, track=False)[0]
 
 
-def smith_transforms_local(m, det: int, y: list[int]) -> tuple[list[int], IntMatrix, IntMatrix]:
+def smith_transforms_local(m, det: int, y: list[int], rows=(), cols=None) -> tuple[list[int], IntMatrix, IntMatrix]:
     """`smith_invariants_local` with coordinates: (invariants d_j, F, G).
 
-    F[j] is a column with m*F[j] = 0 mod d_j, so x -> x.F[j] mod d_j is the
-    j-th coordinate of a class of Z^n / rowspace(m); G[i] is a row with
-    G[i].F[j] = delta_ij mod d_j, a class with coordinates e_i.  Each index
-    joins the columns and rows of the local eliminations by CRT; the cyclic
-    part takes F = y and a Bezout row of y.  G is balanced mod the largest
-    invariant, so no entry exceeds |det| / 2.
+    F[j] is a column with A*F[j] = 0 mod d_j, so x -> x.F[j] mod d_j is the
+    j-th coordinate of a class of Z^n / rowspace(A); G[i] is a row with
+    G[i].F[j] = delta_ij mod d_j, a class with coordinates e_i.  Here A is
+    m itself, or, given the pivot rows and column order that
+    `det_solve(A, b, abs(det))` returns with its block m, the matrix A
+    that det_solve eliminated.  Each local elimination runs on m and is
+    tracked: its column steps are mirrored on a transform V and their
+    inverses on W = V^{-1}.  Split A, columns in the order cols, as
+    [[A11, A12], [A21, A22]] with A11 the k x k block of the pivot rows.
+    Over Z_(r) at a prime r of det those rows are unit pivots, so A is
+    equivalent to diag(A11, m) there (Sylvester's identity), and a
+    column f of V lifts to F = (-A11^{-1} A12 f, f) mod r^v_r(det) by back
+    substitution on the pivot rows; a row of W takes k zeros in front.
+    Both go back to the input column order.  With no rows, k = 0 and m is
+    A.  Each index joins the columns and rows of the local eliminations by
+    CRT; the cyclic part takes F = y and a Bezout row of y.  F[j] is
+    reduced mod d_j, and G is balanced mod the largest invariant, so no
+    entry of G exceeds |det| / 2.
 
     >>> smith_transforms_local([[2, 0], [0, 6]], 12, [6, 2])
     ([2, 6], [[1, 0], [0, 5]], [[3, 0], [0, -1]])
+
+    Here the first pivot row [1, 2, 1] (columns 0 and 1 swapped) is a
+    unit at 2, and the block [[-4, -2], [0, 2]] holds the 2-part:
+
+    >>> A = [[2, 1, 1], [0, 2, 0], [0, 0, 2]]
+    >>> det, y, block, rows, cols = det_solve(A, [1, 2, 3], 8)
+    >>> block, rows, cols
+    ([[-4, -2], [0, 2]], [[1, 2, 1]], [1, 0, 2])
+    >>> smith_transforms_local(block, det, y, rows, cols)
+    ([2, 4], [[0, 1, 1], [1, 0, 2]], [[2, 0, 1], [1, 0, 0]])
+
+    A*F[0] = [2, 2, 2] is 0 mod 2 and A*F[1] = [4, 0, 4] is 0 mod 4.
+    F[0][1], in the pivot's column, lifts the block's column [0, 1].
     """
-    return _smith_local(m, det, y, track=True)
+    return _smith_local(m, det, y, True, rows, cols or range(len(y)))
 
 
 def smith_invariants_bounded(m, annihilator: int) -> list[int]:
     """Smith invariants of a nonsingular square integer matrix, one per
     column with units included, ascending, by `det_solve` and
     `smith_invariants_local`; the annihilator is only checked."""
-    det, y, _ = det_solve(m, [1] * len(m))
+    det, y, *_ = det_solve(m, [1] * len(m))
     if det == 0 or annihilator < 1:
         raise ValueError("requires a nonsingular matrix and a positive annihilator")
     out = smith_invariants_local(m, det, y)

@@ -177,13 +177,101 @@ def test_a_wrong_kept_block_fails_the_exponent_sum(monkeypatch):
     det_solve = classgroup.det_solve
 
     def spoiled(*args):
-        d, v, block = det_solve(*args)
-        return d, v, [[r * x for x in block[0]]] + block[1:]
+        d, v, block, *lift = det_solve(*args)
+        return d, v, [[r * x for x in block[0]]] + block[1:], *lift
 
     monkeypatch.setattr(classgroup, "det_solve", spoiled)
     classgroup._analyze.cache_clear()
     try:
         with pytest.raises(ConsistencyError, match=f"local Smith exponents mod {r} "):
+            analyze(N)
+    finally:
+        classgroup._analyze.cache_clear()
+
+
+@pytest.mark.parametrize("N", [72, 169, 243])
+def test_quotient_runs_on_the_kept_block(monkeypatch, N):
+    # generators and coordinates come from the block that analyze's solve
+    # kept, lifted through its pivot rows: the tracked local step never
+    # sees the whole partial-sum matrix
+    classgroup._analyze.cache_clear()
+    try:
+        report = analyze(N)
+        sizes = []
+        local_smith = zlinalg._local_smith
+
+        def spy(m, *args):
+            sizes.append(len(m))
+            return local_smith(m, *args)
+
+        monkeypatch.setattr(zlinalg, "_local_smith", spy)
+        gens = report.generators
+    finally:
+        classgroup._analyze.cache_clear()
+    assert sizes and max(sizes) < len(report.matrix), (sizes, len(report.matrix))
+    assert tuple(d for _, d in gens) == report.structure.invariants
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (-1, -1)])
+def test_a_wrong_pivot_row_fails_the_relation_check(monkeypatch, entry):
+    # the lift of the block's coordinates reads the pivot rows that the
+    # solve kept; one entry of one of them off by 1 (beyond its diagonal)
+    # moves a coordinate off the relations, which _quotient checks on all
+    # rows of the partial-sum matrix
+    i, j = entry
+    expected = structure(72)
+    det_solve = classgroup.det_solve
+
+    def spoiled(*args):
+        d, v, block, rows, cols = det_solve(*args)
+        rows[i][j] += 1
+        return d, v, block, rows, cols
+
+    monkeypatch.setattr(classgroup, "det_solve", spoiled)
+    classgroup._analyze.cache_clear()
+    try:
+        report = analyze(72)
+        assert report.structure == expected  # the block is untouched
+        with pytest.raises(ConsistencyError, match="a class coordinate mod [0-9]+ is nonzero on a relation"):
+            report.generators
+    finally:
+        classgroup._analyze.cache_clear()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_nonzero_on_a_row_matches_the_dot_products(data):
+    # the packed relation check against one dot product per row and
+    # functional, on signed rows and on functionals that are 0 mod d or not
+    n = data.draw(st.integers(1, 6), label="n")
+    row = st.lists(st.integers(-60, 60), min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, min_size=1, max_size=6), label="rows")
+    moduli = data.draw(st.lists(st.integers(1, 10**30), max_size=4), label="moduli")
+    F = []
+    for d in moduli:
+        f = data.draw(st.lists(st.integers(-(10**40), 10**40), min_size=n, max_size=n))
+        F.append([d * x for x in f] if data.draw(st.booleans()) else f)
+    failing = [d for d, f in zip(moduli, F) if any(sum(x * c for x, c in zip(r, f)) % d for r in rows)]
+    got = classgroup._nonzero_on_a_row(rows, F, moduli)
+    assert (got is None) == (not failing)
+    assert got is None or got in failing
+
+
+@pytest.mark.parametrize("N, p", [(13, 2), (72, 5), (169, 13)])
+def test_a_scaled_divisor_row_fails_the_two_routes(monkeypatch, N, p):
+    # the lattice side of the two-route check: p times one basis divisor
+    # multiplies the lattice index by p and leaves the analytic h as it is
+    h = class_number_yu(N)
+    divisor_rows = classgroup._divisor_rows
+
+    def scaled(*args):
+        rows = divisor_rows(*args)
+        return [[p * x for x in rows[0]]] + rows[1:]
+
+    monkeypatch.setattr(classgroup, "_divisor_rows", scaled)
+    classgroup._analyze.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match=f"N={N}: lattice index {p * h} != analytic class number {h}$"):
             analyze(N)
     finally:
         classgroup._analyze.cache_clear()
@@ -237,7 +325,7 @@ def test_det_solve_pivots_stay_within_h(monkeypatch, N):
     zlinalg._bareiss(a, h)
     assert max(abs(a[i][i]).bit_length() for i in range(len(a))) <= h.bit_length()
     coords = classgroup._partial_sum_coords(report.matrix)
-    d, y, _ = det_solve(coords, classgroup._solve_column(len(coords)))
+    d, y, *_ = det_solve(coords, classgroup._solve_column(len(coords)))
     assert report.solve == (d, tuple(y))
 
 
@@ -394,8 +482,7 @@ def test_class_coordinate_properties(data):
         assert all(abs(x).bit_length() <= h.bit_length() for x in div)
 
 
-@pytest.mark.extended
-@pytest.mark.parametrize("N", [343, 512])
+@pytest.mark.parametrize("N", [343, pytest.param(512, marks=pytest.mark.extended)])
 def test_generators_at_large_levels(N):
     # the order and principality checks that perfbench/worker.py makes on
     # each generator item

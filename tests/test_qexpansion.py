@@ -227,6 +227,13 @@ def test_expand_product_matches_dense_reference(u, depth):
         # at 105 it is in b although 5 * 16 <= 105
         (5, {1: 3, 2: -2}, 106),
         (5, {1: 3, 2: -2}, 105),
+        # the first ring also pays for the ring loop: d = 1 opens it at
+        # depth 11 = 11 * 1, and at 10 no d has a ring although 5 * 1 and
+        # 5 * 2 are at most 10; the same for d = 2 at 22 and 21
+        (5, {1: 3, 2: -2}, 11),
+        (5, {1: 3, 2: -2}, 10),
+        (10, {2: 3, 5: -1}, 22),
+        (10, {2: 3, 5: -1}, 21),
     ],
 )
 def test_expand_product_pinned_against_dense_reference(N, exps, depth):

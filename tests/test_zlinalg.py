@@ -176,7 +176,7 @@ def test_det_solve_is_adjugate_times_column():
         n = rng.randrange(1, 6)
         m = _random_matrix(rng, n, n)
         b = [rng.randrange(-50, 51) for _ in range(n)]
-        d, y, block = det_solve(m, b)
+        d, y, block, *_ = det_solve(m, b)
         assert d == det_int(m)
         if d == 0:
             assert y is None and block is None
@@ -189,7 +189,7 @@ def test_det_solve_is_adjugate_times_column():
 
 
 def _local_route(m, b):
-    d, y, _ = det_solve(m, b)
+    d, y, *_ = det_solve(m, b)
     return smith_invariants_local(m, d, y)
 
 
@@ -239,6 +239,51 @@ def test_smith_transforms_local_properties(bound, case):
         assert all(2 * abs(x) <= inv[-1] for x in g)
 
 
+def _assert_coordinates(m, inv, F, G):
+    # F[j] is 0 mod d_j on every row of m, G pairs with F to the identity,
+    # F[j] is reduced mod d_j and G is balanced mod the largest invariant
+    for d, f in zip(inv, F):
+        assert all(sum(x * c for x, c in zip(row, f)) % d == 0 for row in m)
+        assert all(0 <= x < d for x in f)
+    for i, g in enumerate(G):
+        for j, (d, f) in enumerate(zip(inv, F)):
+            assert (sum(x * c for x, c in zip(g, f)) - (i == j)) % d == 0
+        assert all(2 * abs(x) <= inv[-1] for x in g)
+
+
+# the block that det_solve keeps, lifted through its pivot rows, gives
+# coordinates and generators of the whole matrix, as the call on the whole
+# matrix (no pivot rows, k = 0) does
+@pytest.mark.parametrize("bound", [zlinalg.TRIAL_BOUND, 0])
+@settings(max_examples=100, deadline=None)
+@given(nonsingular_with_column())
+def test_smith_transforms_local_lifts_the_kept_block(bound, case):
+    m, b = case
+    d, y, block, rows, cols = det_solve(m, b, abs(det_int(m)))
+    assert len(rows) + len(block) == len(m)
+    assert sorted(cols) == list(range(len(m)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zlinalg, "TRIAL_BOUND", bound)
+        whole = smith_transforms_local(m, d, y)
+        lifted = smith_transforms_local(block, d, y, rows, cols)
+    assert lifted[0] == whole[0] == snf(m)
+    _assert_coordinates(m, *whole)
+    _assert_coordinates(m, *lifted)
+
+
+def test_smith_transforms_local_lift_with_a_column_swap():
+    # step 0 swaps columns 0 and 1 for the odd pivot 1, step 1 keeps the
+    # 2 x 2 block; both invariants come from the block, so every column of
+    # F is a lift through the pivot row [1, 2, 1]
+    m = [[2, 1, 1], [0, 2, 0], [0, 0, 2]]
+    d, y, block, rows, cols = det_solve(m, [1, 2, 3], 8)
+    assert (len(rows), cols) == (1, [1, 0, 2])
+    inv, F, G = smith_transforms_local(block, d, y, rows, cols)
+    assert inv == snf(m) == [2, 4]
+    _assert_coordinates(m, inv, F, G)
+    assert all(g[1] == 0 for g in G)  # the pivot's column, padded with 0
+
+
 # pivots coprime to |det| change neither det nor y, and the block kept at
 # the first step without one carries the whole Smith form
 @pytest.mark.parametrize("bound", [zlinalg.TRIAL_BOUND, 0])
@@ -246,7 +291,7 @@ def test_smith_transforms_local_properties(bound, case):
 @given(nonsingular_with_column())
 def test_det_solve_kept_block_gives_the_structure(bound, case):
     m, b = case
-    d, y, block = det_solve(m, b, abs(det_int(m)))
+    d, y, block, *_ = det_solve(m, b, abs(det_int(m)))
     assert (d, y) == det_solve(m, b)[:2]
     if abs(d) == 1:
         assert block == []
@@ -268,7 +313,7 @@ def test_det_solve_swaps_rows_and_columns_for_a_coprime_pivot():
     d, cols, block = zlinalg._bareiss(a, 4)
     assert (d, cols, block) == (-4, [1, 0, 2], [[-4]])
     assert a == [[1, 2, 0, 1], [0, -1, 0, 1], [0, 0, -4, -4]]
-    d, y, block = det_solve(m, b, 4)
+    d, y, block, *_ = det_solve(m, b, 4)
     assert d == det_int(m) == -4
     assert [sum(x * v for x, v in zip(row, y)) for row in m] == [d * x for x in b]
     assert (d, y) == det_solve(m, b)[:2]
