@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from modunits.basis import (
@@ -199,3 +201,13 @@ def test_divisor_matrix_full_rank():
 
     for N in (13, 25, 27, 32, 36, 42, 72):
         assert class_number_lattice(N) >= 1
+
+
+def test_bases_pinned_by_hash():
+    # every element at 5 <= N <= 300: its unit, sub-level data and display
+    h = hashlib.sha256()
+    for N in range(5, 301):
+        for el in basis(N):
+            rec = (tuple(el.unit.items()), el.sublevel, el.scale, el.sub_exponents, el.display)
+            h.update(repr((N, rec)).encode())
+    assert h.hexdigest() == "b4fb62b283175e3701b51e01e2556ac949e355b23d9c85e98cb1fbba70812e3b"
