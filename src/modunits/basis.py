@@ -2,8 +2,8 @@
 
 For every level N >= 5 the construction returns exactly phi(N)/2 - 1
 multiplicatively independent unit products.  One construction serves every
-prime-power level (primes, odd prime powers and powers of two); squarefree
-composite and general composite levels have one construction each.
+prime-power level (primes, odd prime powers and powers of two) and one
+every composite level.
 Elements coming from a lower level M (scaled by d = N/M) keep their level-M
 exponent vector for display while the level-N vector drives all divisor
 arithmetic.
@@ -29,8 +29,6 @@ from .siegel import LevelContext, UnitProduct, normalize_index, render_product
 __all__ = [
     "BasisElement",
     "basis",
-    "basis_squarefree",
-    "basis_general",
     "mobius_product",
     "orbit_alternating_product",
 ]
@@ -41,7 +39,6 @@ class BasisElement:
     """One generator, with the sub-level data it was assembled from."""
 
     unit: UnitProduct
-    branch: str
     sublevel: int
     scale: int
     sub_exponents: tuple[tuple[int, int], ...]
@@ -56,19 +53,11 @@ class BasisElement:
         return self.display
 
 
-def _element(N: int, M: int, sub_exps: dict | UnitProduct, branch: str) -> BasisElement:
-    d = N // M
-    if d == 1 and isinstance(sub_exps, UnitProduct):
-        unit = sub_exps  # already normalised at level N
-    else:
-        unit = UnitProduct(N, [(h * d, e) for h, e in sub_exps.items()])
-    return BasisElement(
-        unit=unit,
-        branch=branch,
-        sublevel=M,
-        scale=d,
-        sub_exponents=tuple(sorted(sub_exps.items())),
-    )
+def _element(N: int, sub: UnitProduct) -> BasisElement:
+    """The product `sub` at level M | N, as the unit g_h -> g_{h*N/M} at level N."""
+    d = N // sub.level
+    unit = sub if d == 1 else UnitProduct(N, [(h * d, e) for h, e in sub.items()])
+    return BasisElement(unit=unit, sublevel=sub.level, scale=d, sub_exponents=tuple(sub.items()))
 
 
 def _resolve_generator(q: int, generator: int | None) -> int:
@@ -85,7 +74,7 @@ def _checked_count(N: int, out: list[BasisElement], expected: int) -> list[Basis
     return out
 
 
-def _prime_power_basis(p: int, k: int, generator: int | None, branch: str) -> list[BasisElement]:
+def _prime_power_basis(p: int, k: int, generator: int | None) -> list[BasisElement]:
     """Generators at level p^k: phi(p^k)/2 - 1 elements.
 
     With a the generator, b = a^-1 mod p and phi[ell] = phi(p^ell)/2
@@ -108,48 +97,35 @@ def _prime_power_basis(p: int, k: int, generator: int | None, branch: str) -> li
     out = []
     for i in range(1, top):
         band = quotient(N, i, shift, 1) / quotient(N, i + 1, shift, bsq)
-        out.append(_element(N, N, band, branch))
-    out.append(_element(N, N, quotient(N, top, shift, p), branch))
+        out.append(_element(N, band))
+    out.append(_element(N, quotient(N, top, shift, p)))
     for ell in range(k - 1, 2 if p == 2 else 0, -1):
         M = p**ell
         shift = phi[ell - 1]
         for i in range(phi[k] - phi[ell] + 1, phi[k] - shift + 1):
-            out.append(_element(N, M, quotient(M, i, shift, 1), branch))
+            out.append(_element(N, quotient(M, i, shift, 1)))
     return _checked_count(N, out, phi[k] - 1)
 
 
-def mobius_product(M: int, g: int) -> dict[int, int]:
+def mobius_product(M: int, g: int) -> UnitProduct:
     """Moebius-weighted product isolating the coprime index class of g.
 
-    Exponent map of prod over squarefree-compatible divisors k of the
-    unsquared part of M (k != M) of E_{g(k)}^mu(k), where g(k) is 0 mod k
-    and g mod M/k.  For squarefree M this runs over all proper divisors.
+    The product over squarefree-compatible divisors k of the unsquared part
+    of M (k != M) of E_{g(k)}^mu(k), where g(k) is 0 mod k and g mod M/k.
+    For squarefree M this runs over all proper divisors.
     """
     if gcd(g, M) != 1:
         raise ValueError(f"index {g} is not coprime to {M}")
     unsquared = prod(p for p, e in factorize(M) if e == 1)
     pairs = [(crt_pair(0, k, g, M // k), moebius(k)) for k in divisors(unsquared) if k != M]
-    return UnitProduct(M, pairs).exponents
+    return UnitProduct(M, pairs)
 
 
-def basis_squarefree(N: int) -> list[BasisElement]:
-    """Generators at squarefree composite N: consecutive quotients of the
-    Moebius products over the ascending coprime list."""
-    fac = factorize(N)
-    if len(fac) < 2 or any(e > 1 for _, e in fac):
-        raise ValueError(f"squarefree branch requires squarefree composite N, got {N}")
-    S = LevelContext.of(N).cusps
-    F = [UnitProduct(N, mobius_product(N, g)) for g in S]
-    out = [_element(N, N, f1 / f2, "squarefree") for f1, f2 in zip(F, F[1:])]
-    return _checked_count(N, out, euler_phi(N) // 2 - 1)
-
-
-def orbit_alternating_product(M: int, g: int, shifts: tuple[int, ...]) -> dict[int, int]:
+def orbit_alternating_product(M: int, g: int, shifts: tuple[int, ...]) -> UnitProduct:
     """Inclusion-exclusion over orbit translates at the squared primes of M.
 
     For squared primes p_1 < ... < p_l of M and shift amounts m_i, the
-    exponent map of
-    prod over (n_1..n_l) in {0,1}^l of F_{g + sum n_i m_i M/p_i}^((-1)^sum n_i),
+    product over (n_1..n_l) in {0,1}^l of F_{g + sum n_i m_i M/p_i}^((-1)^sum n_i),
     with F the Moebius product.
     """
     squared = [p for p, e in factorize(M) if e >= 2]
@@ -160,42 +136,35 @@ def orbit_alternating_product(M: int, g: int, shifts: tuple[int, ...]) -> dict[i
         h = g + sum(n * m * (M // p) for n, m, p in zip(choice, shifts, squared))
         sign = -1 if sum(choice) % 2 else 1
         pairs += [(idx, sign * e) for idx, e in mobius_product(M, h).items()]
-    return UnitProduct(M, pairs).exponents
+    return UnitProduct(M, pairs)
 
 
-def _general_subbasis(M: int) -> list[dict[int, int]]:
-    """Exponent maps of the level-M block of the composite construction."""
-    fac = factorize(M)
-    squared = [p for p, e in fac if e >= 2]
-    if not squared:  # M is the radical: reuse the squarefree generators
-        return [dict(el.sub_exponents) for el in basis_squarefree(M)]
-    P = prod(squared)
-    bound = M // (2 * P)
-    out = []
-    for g in range(1, bound + 1):
-        if gcd(g, M) != 1:
-            continue
-        for shifts in product(*(range(1, p) for p in squared)):
-            out.append(orbit_alternating_product(M, g, shifts))
-    return out
+def _composite_basis(N: int) -> list[BasisElement]:
+    """Generators at composite N: phi(N)/2 - 1 elements.
 
-
-def basis_general(N: int) -> list[BasisElement]:
-    """Generators at non-squarefree composite N with >= 2 prime factors.
-
-    Union over the divisors M of N that are multiples of the radical of a
-    level-M block, each scaled by d = N/M.
+    Union over the divisors M of N that are multiples of the radical L of a
+    level-M block, each scaled by d = N/M.  At M = L the block is the
+    consecutive quotients of the Moebius products over the cusps of L;
+    otherwise it is the orbit-alternating products over the g <= M/(2P)
+    coprime to M and the shifts 1 <= m_i < p_i, with P the product of the
+    squared primes p_i of M.
     """
-    fac = factorize(N)
-    if len(fac) < 2 or all(e == 1 for _, e in fac):
-        raise ValueError(f"general branch requires non-squarefree composite N, got {N}")
-    L = prod(p for p, _ in fac)
+    primes = [p for p, _ in factorize(N)]
+    L = prod(primes)
     out = []
     for M in divisors(N):
         if M % L:
             continue
-        for exps in _general_subbasis(M):
-            out.append(_element(N, M, exps, "general"))
+        squared = [p for p in primes if M % (p * p) == 0]
+        if not squared:  # M = L
+            F = [mobius_product(M, g) for g in LevelContext.of(M).cusps]
+            out += [_element(N, f1 / f2) for f1, f2 in zip(F, F[1:])]
+            continue
+        for g in range(1, M // (2 * prod(squared)) + 1):
+            if gcd(g, M) != 1:
+                continue
+            for shifts in product(*(range(1, p) for p in squared)):
+                out.append(_element(N, orbit_alternating_product(M, g, shifts)))
     return _checked_count(N, out, euler_phi(N) // 2 - 1)
 
 
@@ -206,10 +175,7 @@ def basis(N: int, generator: int | None = None) -> list[BasisElement]:
     fac = factorize(N)
     if len(fac) == 1:
         p, k = fac[0]
-        branch = "prime" if k == 1 else "two-power" if p == 2 else "odd-prime-power"
-        return _prime_power_basis(p, k, generator, branch)
+        return _prime_power_basis(p, k, generator)
     if generator is not None:
         raise ValueError("generator override only applies to prime-power levels")
-    if all(e == 1 for _, e in fac):
-        return basis_squarefree(N)
-    return basis_general(N)
+    return _composite_basis(N)

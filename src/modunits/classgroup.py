@@ -262,7 +262,7 @@ def _analyze(N: int, generator: int | None) -> ClassGroupReport:
         raise ConsistencyError(f"N={N}: lattice index {h_lat} != analytic class number {h_yu}")
 
     t0 = time.perf_counter()
-    invariants = smith_invariants_local(block, det, y) if block else []
+    invariants = smith_invariants_local(block, det, y)
     timings.append(("local_smith", time.perf_counter() - t0))
     st = GroupStructure(tuple(invariants))
     if st.order != h_yu:

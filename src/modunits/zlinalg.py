@@ -411,7 +411,7 @@ def _balanced(x: int, D: int) -> int:
     return x - D if 2 * x > D else x
 
 
-def _local_smith(m, r: int, K: int, track: bool, shrink: bool = False):
+def _local_smith(m, r: int, K: int, track: bool):
     # Smith elimination of a square matrix over Z/r^K: while every remaining
     # entry is 0 mod r^v, an entry that is not 0 mod r^(v+1) is the pivot.
     # If its unit part shares a factor g with r (r composite), this returns
@@ -421,11 +421,11 @@ def _local_smith(m, r: int, K: int, track: bool, shrink: bool = False):
     # col_k -= c*col_j that clear the pivot row are mirrored on V (V[k] holds
     # column k) and their inverses row_j += c*row_k on W = V^{-1}; rows of W
     # are written only at their own pivot, so row k is still e_k there.
-    # With `shrink` the caller knows that K - 1 = v_r(det m), the sum of the
-    # exponents.  Once every remaining entry is 0 mod r^v, none of the m'
-    # exponents left exceeds K - 1 - (those taken) - (m' - 1) v, so the rest
-    # runs mod r to the power one more.  If the exponents of m sum to
-    # anything else, those found still miss K - 1, which the caller checks.
+    # Precondition: K - 1 = v_r(det m), the sum of the exponents.  Once every
+    # remaining entry is 0 mod r^v, none of the m' exponents left exceeds
+    # K - 1 - (those taken) - (m' - 1) v, so the rest runs mod r to the power
+    # one more.  If the exponents of m sum to anything else, those found
+    # still miss K - 1, which the caller checks.
     q = r**K
     rows = [[x % q for x in row] for row in _copy_int(m)]
     n = len(rows)
@@ -434,7 +434,7 @@ def _local_smith(m, r: int, K: int, track: bool, shrink: bool = False):
     cols = list(range(n))
     V, W = (identity(n), identity(n)) if track else (None, None)
     out: list[tuple[int, int]] = []
-    left = K - 1  # with `shrink`, the exponents not yet taken sum to this
+    left = K - 1  # the exponents not yet taken sum to this
     v, pv = 0, 1  # every remaining entry is 0 mod pv = r^v
     while rows:
         step = pv * r
@@ -442,11 +442,10 @@ def _local_smith(m, r: int, K: int, track: bool, shrink: bool = False):
         if hit is None:
             if v + 1 < K:
                 v, pv = v + 1, step
-                if shrink:
-                    top = max(left - (len(rows) - 1) * v, v) + 1
-                    if top < K:
-                        K, q = top, r**top
-                        rows = [[x % q for x in row] for row in rows]
+                top = max(left - (len(rows) - 1) * v, v) + 1
+                if top < K:
+                    K, q = top, r**top
+                    rows = [[x % q for x in row] for row in rows]
                 continue
             out += [(K, k) for k in cols]
             break
@@ -536,7 +535,7 @@ def _smith_local(m, det: int, y: list[int], track: bool, rows=(), cols=None):
             w, e = w // r, e + 1
         split = gcd(w, r)
         if split == 1:
-            split, pivots, V, W = _local_smith(m, r, e + 1, track, True)  # shrink
+            split, pivots, V, W = _local_smith(m, r, e + 1, track)
         if split > 1:
             todo = _coprime_base(todo + [split, r // split])
             continue

@@ -2,13 +2,7 @@ import hashlib
 
 import pytest
 
-from modunits.basis import (
-    basis,
-    basis_general,
-    basis_squarefree,
-    mobius_product,
-    orbit_alternating_product,
-)
+from modunits.basis import basis, mobius_product, orbit_alternating_product
 from modunits.numtheory import euler_phi, factorize
 from modunits.siegel import divisor, is_gamma1_modular, orbit_condition_holds
 from modunits.zlinalg import lattice_index
@@ -93,8 +87,8 @@ def test_two_power_16():
 
 
 def test_squarefree_21():
-    els = basis_squarefree(21)
-    assert mobius_product(21, 1) == {1: 1, 6: -1, 7: -1}
+    els = basis(21)
+    assert mobius_product(21, 1).exponents == {1: 1, 6: -1, 7: -1}
     assert [e.display for e in els] == [
         "E1*E9/(E2*E6)",
         "E2*E3/(E4*E9)",
@@ -105,19 +99,15 @@ def test_squarefree_21():
 
 
 def test_squarefree_42_mobius_products():
-    assert mobius_product(42, 1) == {1: 1, 6: 1, 14: 1, 21: 1, 20: -1, 15: -1, 7: -1}
-    els = basis_squarefree(42)
+    assert mobius_product(42, 1).exponents == {1: 1, 6: 1, 14: 1, 21: 1, 20: -1, 15: -1, 7: -1}
+    els = basis(42)
     assert len(els) == 5
-
-
-def test_squarefree_rejects():
-    for bad in (13, 27, 36):
-        with pytest.raises(ValueError):
-            basis_squarefree(bad)
+    with pytest.raises(ValueError, match="not coprime"):
+        mobius_product(42, 7)
 
 
 def test_general_36():
-    els = basis_general(36)
+    els = basis(36)
     assert [e.display for e in els] == [
         "E1^(12)(3t)/(E5^(12)(3t))",
         "E1^(18)(2t)*E2^(18)(2t)/(E7^(18)(2t)*E8^(18)(2t))",
@@ -128,7 +118,7 @@ def test_general_36():
 
 
 def test_general_40():
-    els = basis_general(40)
+    els = basis(40)
     assert [e.display for e in els] == [
         "E1^(10)(4t)*E2^(10)(4t)/(E3^(10)(4t)*E4^(10)(4t))",
         "E1^(20)(2t)/(E9^(20)(2t))",
@@ -141,7 +131,7 @@ def test_general_40():
 
 
 def test_general_72():
-    els = basis_general(72)
+    els = basis(72)
     assert len(els) == 11
     # the radical block is empty at L = 6 and the top block has four members
     assert [e.display for e in els[-4:]] == [
@@ -154,22 +144,13 @@ def test_general_72():
 
 def test_alternating_product_level_180():
     # G at level 180 with shifts (1, 2): E1 E31 E55 E85 / (E91 E59 E35 E5)
-    exps = orbit_alternating_product(180, 1, (1, 2))
+    exps = orbit_alternating_product(180, 1, (1, 2)).exponents
     assert exps == {1: 1, 31: 1, 55: 1, 85: 1, 89: -1, 59: -1, 35: -1, 5: -1}
-
-
-def test_general_rejects():
-    for bad in (13, 27, 30):
-        with pytest.raises(ValueError):
-            basis_general(bad)
+    with pytest.raises(ValueError, match="expected 2 shifts"):
+        orbit_alternating_product(180, 1, (1,))
 
 
 def test_dispatch_and_counts():
-    assert {e.branch for e in basis(5)} == {"prime"}
-    assert {e.branch for e in basis(11)} == {"prime"}
-    assert {e.branch for e in basis(32)} == {"two-power"}
-    assert {e.branch for e in basis(27)} == {"odd-prime-power"}
-    assert {e.branch for e in basis(60)} == {"general"}
     for N in range(5, 121):
         assert len(basis(N)) == euler_phi(N) // 2 - 1, N
     with pytest.raises(ValueError):

