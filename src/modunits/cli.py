@@ -13,18 +13,18 @@ multiply to its class number, that class number is the analytic one
 otherwise it is recomputed and overwritten.  Each level record printed says
 "cache": "hit" (loaded, with the timings of the run that stored it), "miss"
 (no file: computed by this run) or "stale" (a file that failed those checks:
-recomputed by this run); the label is not stored.
+recomputed by this run); the label is not stored.  A cache directory that
+cannot be created or written is refused before any level is computed.
 
-Exit codes: 0 success, 2 invalid arguments, 3 internal consistency failure
-or reference-table mismatch.
+Exit codes: 0 success, 2 invalid arguments (an unusable cache directory
+among them), 3 internal consistency failure or reference-table mismatch.
 """
 
 import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
 from itertools import repeat
 
@@ -116,9 +116,30 @@ def _is_valid_record(rec, N: int, generator: int | None) -> bool:
     )
 
 
+class CacheError(ValueError):
+    """The cache directory cannot be created or written (exit code 2)."""
+
+
 class Cache:
     def __init__(self, directory: str | None):
         self.directory = directory
+
+    @contextmanager
+    def _usable(self):
+        """Turn an `OSError` on the cache directory into a `CacheError`."""
+        try:
+            yield
+        except OSError as exc:
+            raise CacheError(
+                f"unusable cache directory {self.directory!r}: {exc.strerror or exc}"
+            ) from None
+
+    def ensure_directory(self) -> None:
+        """Create the cache directory if it is missing; raise `CacheError` if
+        it cannot be, for example when the path or a parent is a file."""
+        if self.directory:
+            with self._usable():
+                os.makedirs(self.directory, exist_ok=True)
 
     def _path(self, N: int, generator: int | None) -> str:
         gen = "auto" if generator is None else str(generator)
@@ -138,20 +159,22 @@ class Cache:
 
     def store(self, N: int, generator: int | None, record: dict) -> None:
         """Write the record atomically: a temp file in the cache directory,
-        then `os.replace`, so a reader never sees a partial file."""
+        then `os.replace`, so a reader never sees a partial file.  Any
+        `OSError` becomes a `CacheError`."""
         if not self.directory:
             return
-        os.makedirs(self.directory, exist_ok=True)
+        self.ensure_directory()
         path = self._path(N, generator)
         tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w") as f:
-                json.dump(record, f, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            with suppress(OSError):
-                os.unlink(tmp)
-            raise
+        with self._usable():
+            try:
+                with open(tmp, "w") as f:
+                    json.dump(record, f, sort_keys=True)
+                os.replace(tmp, path)
+            except BaseException:
+                with suppress(OSError):
+                    os.unlink(tmp)
+                raise
 
 
 def cached_record(N: int, generator: int | None, cache: Cache) -> dict:
@@ -181,8 +204,12 @@ def _invariants_str(invariants) -> str:
 
 
 def _cache(args) -> Cache:
-    """The cache named by --cache-dir or MODUNITS_CACHE_DIR, off with --no-cache."""
-    return Cache(None if args.no_cache else (args.cache_dir or os.environ.get(CACHE_ENV)))
+    """The cache named by --cache-dir or MODUNITS_CACHE_DIR, off with
+    --no-cache; its directory is created here, so an unusable one is refused
+    before any level is computed."""
+    cache = Cache(None if args.no_cache else (args.cache_dir or os.environ.get(CACHE_ENV)))
+    cache.ensure_directory()
+    return cache
 
 
 #: the commands that print one field of a level record: help, text of the record
@@ -270,6 +297,10 @@ def cmd_table(args) -> int:
     levels = list(range(lo, hi + 1))
     cache = _cache(args)
     if args.jobs > 1 and len(levels) > 1:
+        # imported here: the pool loads multiprocessing, which no other
+        # command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(levels))) as pool:
             found = pool.map(cached_record, levels, repeat(None), repeat(cache))
             records = dict(zip(levels, found))

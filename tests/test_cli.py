@@ -312,6 +312,57 @@ def test_cache_env_and_no_cache(tmp_path, capsys, monkeypatch):
     assert sorted(tmp_path.iterdir()) == before
 
 
+def refuse_to_compute(*args):
+    raise AssertionError("a level was computed")
+
+
+@pytest.mark.parametrize("where", ["flag", "env"])
+@pytest.mark.parametrize("argv", [("classnum", "13"), ("table", "11..13")], ids=["classnum", "table"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_an_unusable_cache_directory_exits_2_before_computing(
+    tmp_path, capsys, monkeypatch, where, argv, under
+):
+    blocker = tmp_path / "F"
+    blocker.write_text("not a directory")
+    directory = str(blocker / "sub" if under else blocker)
+    monkeypatch.setattr(cli, "build_record", refuse_to_compute)
+    if where == "flag":
+        argv += ("--cache-dir", directory)
+    else:
+        monkeypatch.setenv(CACHE_ENV, directory)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unusable cache directory")
+    assert len(err.splitlines()) == 1
+    assert blocker.read_text() == "not a directory"
+
+
+def test_a_failing_cache_write_exits_2(tmp_path, capsys, monkeypatch):
+    def disk_full(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", disk_full)
+    code, out, err = run_cli(capsys, "classnum", "13", "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: unusable cache directory {str(tmp_path)!r}: No space left on device\n"
+    # the temp file is removed
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_importing_the_cli_does_not_load_the_process_pool():
+    # the baseline is the fresh interpreter's own modules, so whatever a site
+    # hook imports before the script runs does not count
+    script = (
+        "import sys; before = set(sys.modules); import modunits.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert "modunits.cli" in added
+    assert not [m for m in added if m.split(".")[0] in ("concurrent", "multiprocessing")]
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "modunits.cli", "classnum", "13"],
