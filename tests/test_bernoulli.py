@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -19,6 +20,7 @@ from modunits.bernoulli import (
     cyclotomic,
     enumerate_even_characters,
     nonprincipal_quarter_product,
+    primitive_angle,
     primitive_value,
     yu_prefactor,
 )
@@ -222,6 +224,35 @@ def test_character_orbits():
         for d, exps in orbits:
             assert all(0 <= e < d for e in exps)
             assert exps[0] == 0  # chi(1) = 1
+
+
+def _orbits_digest(hi):
+    h = hashlib.sha256()
+    for N in range(3, hi + 1):
+        h.update(repr((N, _even_character_orbits(N))).encode())
+    return h.hexdigest()
+
+
+def test_character_orbits_pinned_to_300():
+    # SHA-256 of repr((N, _even_character_orbits(N))) for 3 <= N <= 300
+    assert _orbits_digest(300) == "30a71d29891f95afc9fcc5caa23961ae595f14e15201b0d3c57f40bac8c586ab"
+
+
+@pytest.mark.extended
+def test_character_orbits_pinned_to_1200():
+    assert _orbits_digest(1200) == "965620fccb85619675e91e4fec2c3c52cd8e912393f16fa948588e42a5e5d74e"
+
+
+def test_character_angles_pinned_to_60():
+    # per even character, in enumeration order: N, the conductor f, the
+    # angle at every residue mod N and the primitive angle at every residue mod f
+    h = hashlib.sha256()
+    for N in range(3, 61):
+        for chi in enumerate_even_characters(N):
+            f = conductor(chi)
+            row = (N, f, [chi.angle(a) for a in range(N)], [primitive_angle(chi, a) for a in range(f)])
+            h.update(repr(row).encode())
+    assert h.hexdigest() == "10367fcb514703420c5f6e74b7674bf0374ebee0e5fc3cac9f7c3937b7693e21"
 
 
 def _poly_mul(a, b):
