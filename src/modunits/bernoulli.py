@@ -12,8 +12,13 @@ O(phi(d)^2) exact coefficient operations, where the phi(d) x phi(d)
 determinant of multiplication by C would take O(phi(d)^3).  The whole
 matrix's fraction-free determinant `bernoulli_matrix_det` stays as the
 reference.
-Characters as objects (`DirichletCharacter`) serve only the floating-point
-cross-checks.
+
+One discrete-log table serves both uses of characters: `_unit_logs(N)`
+gives each unit mod N its exponent vector on fixed CRT generators, and
+`_even_exponents(N)` lists the even characters on the same generators.
+`_even_character_orbits` groups them into the Galois orbits of the exact
+route.  `DirichletCharacter` reads the same table; it and the
+floating-point B_{2,chi} are only the cross-check.
 """
 
 import cmath
@@ -174,31 +179,63 @@ def _orbit_norm(coeffs: list[int], d: int) -> int:
     return sign * g**m * (b[0] ** k // h ** (k - 1))
 
 
+@lru_cache(maxsize=None)
+def _unit_logs(N: int) -> tuple[tuple[int, ...], int, dict[int, tuple[int, ...]]]:
+    """(orders, L, logs): the discrete logs of the units mod N.
+
+    The generators come from each q = p^e || N: a primitive root for odd q
+    and for q = 4; -1 and 3 for q = 2^e >= 8; none for q = 2.  Each is lifted
+    by `crt_pair` to the unit that is 1 mod N/q, and `orders` holds their
+    orders.  L is their lcm, the exponent of (Z/NZ)^x.  logs[a] is the
+    exponent vector of the unit a with entry i scaled by L / orders[i], so
+    the character with exponent vector x has chi(a) = zeta_L^(x . logs[a]).
+    """
+    gens = []
+    for p, e in factorize(N):
+        q = p**e
+        if p == 2 and e >= 3:
+            local = [(q - 1, 2), (3, q // 4)]
+        else:  # cyclic: primitive_root(4) = 3
+            local = [(primitive_root(q), euler_phi(q))] if q > 2 else []
+        gens += [(crt_pair(g, q, 1, N // q), o) for g, o in local]
+    orders = tuple(o for _, o in gens)
+    L = lcm(*orders)
+    logs = {1: ()}
+    for g, o in gens:
+        step, grown = L // o, {}
+        for a, t in logs.items():
+            for k in range(o):
+                grown[a] = t + (k * step,)
+                a = a * g % N
+        logs = grown
+    return orders, L, logs
+
+
+def _even_exponents(N: int) -> list[tuple[int, ...]]:
+    """The exponent vectors of the even characters mod N, in `product`
+    order, so the principal character's zero vector comes first."""
+    orders, L, logs = _unit_logs(N)
+    minus_one = logs[N - 1]
+    vectors = product(*(range(o) for o in orders))
+    return [x for x in vectors if sum(a * b for a, b in zip(x, minus_one)) % L == 0]
+
+
 def _even_character_orbits(N: int) -> list[tuple[int, list[int]]]:
     """One (d, [e(a) for a in the cusps]) per Galois orbit of the even
     non-principal characters chi mod N, where chi has order d and
     chi(a) = zeta_d^e(a).
 
-    A character is an exponent vector on the CRT generators of
-    `_local_group`, whose discrete logs give chi(a) = zeta_L^s(a) with L
-    the exponent of (Z/NZ)^x.  The orbit {chi^k : gcd(k, d) = 1} has phi(d)
-    members, all marked seen when the first is met.
+    The characters are the exponent vectors of `_even_exponents`, read
+    against the discrete logs of `_unit_logs`.  The orbit
+    {chi^k : gcd(k, d) = 1} has phi(d) members, all marked seen when the
+    first is met.
     """
-    ctx = LevelContext.of(N)
-    groups = [_local_group(p**e) for p, e in ctx.factorization]
-    orders = [o for grp in groups for o in grp.orders]
-    L = lcm(*orders)
-
-    def scaled_logs(a: int) -> list[int]:
-        logs = [t for grp in groups for t in grp.logs[a % grp.q]]
-        return [t * (L // o) for t, o in zip(logs, orders)]
-
-    cusp_logs = [scaled_logs(a) for a in ctx.cusps]
-    minus_one = scaled_logs(N - 1)
+    orders, L, logs = _unit_logs(N)
+    cusp_logs = [logs[a] for a in LevelContext.of(N).cusps]
     seen = set()
     out = []
-    for exps in product(*(range(o) for o in orders)):
-        if exps in seen or not any(exps) or sum(x * u for x, u in zip(exps, minus_one)) % L:
+    for exps in _even_exponents(N)[1:]:  # past the principal character
+        if exps in seen:
             continue
         d = lcm(*(o // gcd(o, x) for o, x in zip(orders, exps)))
         seen.update(
@@ -268,77 +305,33 @@ def yu_prefactor(N: int) -> Fraction:
     return out
 
 
-@dataclass(frozen=True)
-class _LocalGroup:
-    """Unit group mod a prime power, with fixed generators and a log table."""
-
-    q: int
-    orders: tuple[int, ...]
-    logs: dict[int, tuple[int, ...]]
-
-
-@lru_cache(maxsize=None)
-def _local_group(q: int) -> _LocalGroup:
-    if q == 2:
-        return _LocalGroup(2, (), {1: ()})
-    if q == 4:
-        return _LocalGroup(4, (2,), {1: (0,), 3: (1,)})
-    p, k = factorize(q)[0]
-    if p == 2:
-        gens, orders = (q - 1, 3), (2, 2 ** (k - 2))
-    else:
-        gens, orders = (primitive_root(q),), (euler_phi(q),)
-    logs: dict[int, tuple[int, ...]] = {}
-    for exps in product(*(range(o) for o in orders)):
-        r = 1
-        for g, e in zip(gens, exps):
-            r = r * pow(g, e, q) % q
-        logs[r] = exps
-    return _LocalGroup(q, orders, logs)
+def _root(angle: Fraction | None) -> complex:
+    """e^(2*pi*i*angle) in floating point, 0 for None."""
+    if angle is None:
+        return 0j
+    return cmath.exp(TWO_PI * 1j * float(angle))
 
 
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """Dirichlet character mod N via exponents on CRT generators.
-
-    `exponents` holds, for each prime power q || N, the character's integer
-    exponents on the generators of (Z/qZ)^x; values are the exact roots of
-    unity exp(2*pi*i * angle) evaluated in floating point only on demand.
+    """Dirichlet character mod N by its exponent vector on the generators
+    of `_unit_logs(N)`; values are the exact roots of unity
+    exp(2*pi*i * angle), evaluated in floating point only on demand.
     """
 
     modulus: int
-    exponents: tuple[tuple[int, ...], ...]
-
-    def _locals(self) -> list[_LocalGroup]:
-        return [_local_group(p**e) for p, e in factorize(self.modulus)]
+    exponents: tuple[int, ...]
 
     def angle(self, a: int) -> Fraction | None:
         """Exact phase in [0, 1) with chi(a) = e^(2*pi*i*angle), or None if gcd > 1."""
-        a %= self.modulus
-        if self.modulus == 1:
-            return Fraction(0)
-        if gcd(a, self.modulus) != 1:
+        _, L, logs = _unit_logs(self.modulus)
+        t = logs.get(a % self.modulus)
+        if t is None:
             return None
-        total = Fraction(0)
-        for grp, exps in zip(self._locals(), self.exponents):
-            logs = grp.logs[a % grp.q]
-            for t, e, order in zip(logs, exps, grp.orders):
-                total += Fraction(t * e, order)
-        return total - (total.numerator // total.denominator)
+        return Fraction(sum(x * s for x, s in zip(self.exponents, t)) % L, L)
 
     def __call__(self, a: int) -> complex:
-        ang = self.angle(a)
-        if ang is None:
-            return 0j
-        return cmath.exp(TWO_PI * 1j * float(ang))
-
-    @property
-    def is_principal(self) -> bool:
-        return all(e == 0 for comp in self.exponents for e in comp)
-
-    @property
-    def is_even(self) -> bool:
-        return self.angle(self.modulus - 1) == 0
+        return _root(self.angle(a))
 
 
 def enumerate_even_characters(N: int) -> list[DirichletCharacter]:
@@ -348,16 +341,7 @@ def enumerate_even_characters(N: int) -> list[DirichletCharacter]:
     """
     if N < 3:
         raise ValueError(f"enumerate_even_characters requires N >= 3, got {N}")
-    groups = [_local_group(p**e) for p, e in factorize(N)]
-    component_choices = [
-        list(product(*(range(o) for o in grp.orders))) for grp in groups
-    ]
-    out = []
-    for combo in product(*component_choices):
-        chi = DirichletCharacter(N, tuple(combo))
-        if chi.is_even:
-            out.append(chi)
-    out.sort(key=lambda c: not c.is_principal)
+    out = [DirichletCharacter(N, x) for x in _even_exponents(N)]
     if len(out) != euler_phi(N) // 2:
         raise ConsistencyError(f"N={N}: {len(out)} even characters, expected {euler_phi(N) // 2}")
     return out
@@ -365,22 +349,19 @@ def enumerate_even_characters(N: int) -> list[DirichletCharacter]:
 
 @lru_cache(maxsize=None)
 def conductor(chi: DirichletCharacter) -> int:
-    """Least f | N such that chi is induced from a character mod f."""
+    """Least f | N such that chi is 1 on the units = 1 mod f, so that chi
+    is induced from a character mod f."""
     N = chi.modulus
-    for f in divisors(N):
-        if all(
-            chi.angle(a) == 0
-            for a in range(1, N + 1)
-            if a % f == 1 % f and gcd(a, N) == 1
-        ):
-            return f
-    raise AssertionError("conductor search cannot fail")
+    return next(
+        f for f in divisors(N) if all(chi.angle(a) == 0 for a in range(1, N + 1, f) if gcd(a, N) == 1)
+    )
 
 
 def primitive_angle(chi: DirichletCharacter, a: int) -> Fraction | None:
     """Phase of the inducing character chi_f at a, for gcd(a, f) = 1.
 
-    Lifts a to b = a (mod f) with gcd(b, N) = 1 and returns chi's phase at b.
+    chi is 1 on the units = 1 mod f, so it takes one value on the units
+    = a mod f: its phase at the least of them.
     """
     N = chi.modulus
     f = conductor(chi)
@@ -388,39 +369,24 @@ def primitive_angle(chi: DirichletCharacter, a: int) -> Fraction | None:
         return Fraction(0)
     if gcd(a, f) != 1:
         return None
-    b, mod = 1, 1
-    for p, e in factorize(N):
-        q = p**e
-        r = a % q if f % p == 0 else 1
-        b = crt_pair(b, mod, r, q)
-        mod *= q
-    return chi.angle(b)
+    return chi.angle(next(b for b in range(a % f, N, f) if gcd(b, N) == 1))
 
 
 def primitive_value(chi: DirichletCharacter, a: int) -> complex:
-    ang = primitive_angle(chi, a)
-    if ang is None:
-        return 0j
-    return cmath.exp(TWO_PI * 1j * float(ang))
+    return _root(primitive_angle(chi, a))
+
+
+def _b2_sum(f: int, value) -> complex:
+    """f * sum value(a) B2(a/f) over the units a mod f, in complex floats."""
+    units = (a for a in range(1, f + 1) if gcd(a, f) == 1)
+    return f * sum((value(a) * float(b2(Fraction(a, f))) for a in units), 0j)
 
 
 def b2_chi_numeric(chi: DirichletCharacter) -> complex:
     """B_{2,chi} = N * sum chi(a) B2(a/N), evaluated in complex floats."""
-    N = chi.modulus
-    total = 0j
-    for a in range(1, N + 1):
-        if gcd(a, N) == 1:
-            total += chi(a) * float(b2(Fraction(a, N)))
-    return N * total
+    return _b2_sum(chi.modulus, chi)
 
 
 def b2_primitive_numeric(chi: DirichletCharacter) -> complex:
     """B_{2,chi_f} for the inducing character mod the conductor f."""
-    f = conductor(chi)
-    if f == 1:
-        return complex(float(b2(0)))
-    total = 0j
-    for a in range(1, f + 1):
-        if gcd(a, f) == 1:
-            total += primitive_value(chi, a) * float(b2(Fraction(a, f)))
-    return f * total
+    return _b2_sum(conductor(chi), lambda a: primitive_value(chi, a))

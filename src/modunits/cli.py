@@ -95,23 +95,35 @@ def build_record(N: int, generator: int | None = None) -> dict:
     }
 
 
+def _decimal(x) -> int:
+    """The integer whose decimal string, as `build_record` writes it, is x;
+    ValueError for anything else, such as 19.0, 19 or "019"."""
+    if isinstance(x, str) and str(n := int(x)) == x:
+        return n
+    raise ValueError(f"not a decimal string: {x!r}")
+
+
 def _is_valid_record(rec, N: int, generator: int | None) -> bool:
-    """Whether a loaded record belongs to (N, generator, version), its
-    invariants form a divisibility chain whose product is the class number,
-    that class number is `class_number_yu(N)` and its basis is the one
-    `build_record` writes.  A rewrite of the invariants alone that keeps
-    their product is not caught."""
+    """Whether a loaded record is the one `build_record` writes for
+    (N, generator, version): the key, the class number and the invariants
+    spelled as it spells them, invariants that form a divisibility chain
+    whose product is the class number, that class number equal to
+    `class_number_yu(N)`, and the same basis.  A rewrite of the invariants
+    alone that keeps their product is not caught."""
     if not isinstance(rec, dict):
         return False
-    if (rec.get("n"), rec.get("generator"), rec.get("version")) != (N, generator, __version__):
+    key = [rec.get("n"), rec.get("generator"), rec.get("version")]
+    if json.dumps(key) != json.dumps([N, generator, __version__]):  # 13.0 == 13, but dumps as 13.0
         return False
     try:
-        h = int(rec["class_number"])
-        st = GroupStructure(tuple(int(d) for d in rec["invariants"]))
+        h = _decimal(rec["class_number"])
+        invariants = rec["invariants"]
+        st = GroupStructure(tuple(_decimal(d) for d in invariants))
     except (KeyError, TypeError, ValueError):
         return False
     return (
-        st.order == h == class_number_yu(N)
+        isinstance(invariants, list)
+        and st.order == h == class_number_yu(N)
         and rec.get("basis") == _basis_json(basis(N, generator))
     )
 

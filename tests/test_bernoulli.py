@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from modunits import bernoulli, classgroup
 from modunits.bernoulli import (
     _even_character_orbits,
+    _unit_logs,
     _orbit_norm,
     b2_chi0,
     b2_chi_numeric,
@@ -108,8 +109,8 @@ def test_enumerate_even_characters_counts():
     for N in range(3, 50):
         chars = enumerate_even_characters(N)
         assert len(chars) == euler_phi(N) // 2
-        assert chars[0].is_principal
-        assert all(c.is_even for c in chars)
+        assert not any(chars[0].exponents)  # the principal character first
+        assert all(c.angle(N - 1) == 0 for c in chars)
 
 
 def test_character_multiplicativity():
@@ -120,6 +121,35 @@ def test_character_multiplicativity():
                 a, b = rng.randrange(1, N), rng.randrange(1, N)
                 va, vb, vab = chi(a), chi(b), chi(a * b % N)
                 assert abs(va * vb - vab) < 1e-12
+
+
+def test_unit_logs_table():
+    rng = random.Random(25)
+    for N in range(3, 400):
+        orders, L, logs = _unit_logs(N)
+        assert sorted(logs) == [a for a in range(N) if gcd(a, N) == 1], N
+        assert prod(orders) == euler_phi(N) and L == lcm(*orders)
+        assert len(set(logs.values())) == len(logs)  # a unit is its logs
+        assert all(pow(a, L, N) == 1 for a in logs)
+        units = list(logs)
+        for _ in range(10):
+            a, b = rng.choice(units), rng.choice(units)
+            assert logs[a * b % N] == tuple((s + t) % L for s, t in zip(logs[a], logs[b])), (N, a, b)
+
+
+def test_angles_at_non_units_and_conductor_one():
+    for N in (12, 21, 36, 40):
+        for chi in enumerate_even_characters(N):
+            assert all(chi.angle(a) is None for a in range(N) if gcd(a, N) > 1)
+            assert chi(N) == 0
+            f = conductor(chi)
+            if f == 1:
+                assert all(primitive_angle(chi, a) == 0 for a in range(N))
+            else:
+                assert all(primitive_angle(chi, a) is None for a in range(2 * f) if gcd(a, f) > 1)
+                assert primitive_value(chi, f) == 0
+    chi0 = enumerate_even_characters(36)[0]
+    assert conductor(chi0) == 1 and primitive_angle(chi0, 6) == 0
 
 
 def test_principal_character_numeric():

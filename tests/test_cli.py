@@ -301,6 +301,37 @@ def test_cache_recomputes_a_consistent_rewrite_as_stale(tmp_path, capsys, rewrit
     assert json.loads(out)["cache"] == "hit"
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("class_number", 19.5),
+        ("class_number", 19.0),
+        ("class_number", 19),
+        ("class_number", "019"),
+        ("class_number", " 19"),
+        ("invariants", [19.9]),
+        ("invariants", ["019"]),
+        ("invariants", "19"),
+        ("invariants", {"19": "19"}),  # iterates to ["19"]
+        ("n", 13.0),
+    ],
+)
+def test_cache_reads_only_the_decimal_strings_it_writes(tmp_path, capsys, field, value):
+    # each value equals, or int() reads it as, what build_record writes,
+    # and it was served as a hit; only build_record's spelling is valid
+    command = "structure" if field == "invariants" else "classnum"
+    code, _, _ = run_cli(capsys, command, "13", "--cache-dir", str(tmp_path))
+    assert code == 0
+    (path,) = tmp_path.iterdir()
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), **{field: value})))
+    assert Cache(str(tmp_path)).load(13, None) is None
+    code, out, _ = run_cli(capsys, command, "13", "--json", "--cache-dir", str(tmp_path))
+    rec = json.loads(out)
+    got = (code, rec["cache"], rec["n"], rec["class_number"], rec["invariants"])
+    assert got == (0, "stale", 13, "19", ["19"])
+    assert json.loads(path.read_text())[field] == rec[field]
+
+
 def test_cache_env_and_no_cache(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MODUNITS_CACHE_DIR", str(tmp_path))
     code, _, _ = run_cli(capsys, "classnum", "23")
