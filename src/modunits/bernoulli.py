@@ -365,8 +365,6 @@ def primitive_angle(chi: DirichletCharacter, a: int) -> Fraction | None:
     """
     N = chi.modulus
     f = conductor(chi)
-    if f == 1:
-        return Fraction(0)
     if gcd(a, f) != 1:
         return None
     return chi.angle(next(b for b in range(a % f, N, f) if gcd(b, N) == 1))

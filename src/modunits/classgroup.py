@@ -10,7 +10,7 @@ primary self-check.
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import gcd
@@ -82,16 +82,18 @@ class ClassGroupReport:
     h_yu: int
     structure: GroupStructure
     basis: tuple[BasisElement, ...]
-    matrix: tuple[tuple[int, ...], ...]
+    # the divisor rows and the elimination state are derived from the
+    # basis, so they stay out of the repr, the equality and the hash
+    matrix: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
     timings: tuple[tuple[str, float], ...]
     #: (det A, adj(A)*b) of the partial-sum matrix A, rows in basis order,
     #: and b = `_solve_column`; `_analyze` passes `det_solve` the rows in
     #: another order and multiplies its det and y by the sign of that order
-    solve: tuple[int, tuple[int, ...]]
+    solve: tuple[int, tuple[int, ...]] = field(repr=False, compare=False)
     #: (block, pivot rows, column order) from that `det_solve`, which the
     #: tracked local step reads; kept only when the step has moduli
     #: (gcd(h, y) > 1), else empty
-    kept: tuple
+    kept: tuple = field(repr=False, compare=False)
 
     @property
     def class_number(self) -> int:
@@ -281,9 +283,9 @@ def _analyze(N: int, generator: int | None) -> ClassGroupReport:
     )
 
 
-def structure(N: int, generator: int | None = None) -> GroupStructure:
+def structure(N: int) -> GroupStructure:
     """Elementary divisor chain of the cuspidal divisor class group."""
-    return analyze(N, generator).structure
+    return analyze(N).structure
 
 
 def p_primary(N: int, p: int) -> dict[int, int]:
@@ -327,7 +329,7 @@ def _coords_to_divisor(coords: list[int]) -> list[int]:
     return div
 
 
-def generators(N: int, generator: int | None = None) -> list[tuple[list[int], int]]:
+def generators(N: int) -> list[tuple[list[int], int]]:
     """Degree-0 divisors generating the class group, with their orders.
 
     Returns one (divisor, order) pair per invariant, divisors in
@@ -335,10 +337,10 @@ def generators(N: int, generator: int | None = None) -> list[tuple[list[int], in
     residues mod the exponent d_max (the largest invariant), so none exceeds
     d_max <= h in absolute value.
     """
-    return analyze(N, generator).generators
+    return analyze(N).generators
 
 
-def class_coordinates(N: int, div: list[int], generator: int | None = None) -> list[tuple[int, int]]:
+def class_coordinates(N: int, div: list[int]) -> list[tuple[int, int]]:
     """Coordinates of a degree-0 divisor in the class group: (residue, modulus) pairs."""
     n = LevelContext.of(N).num_cusps
     if len(div) != n:
@@ -349,14 +351,14 @@ def class_coordinates(N: int, div: list[int], generator: int | None = None) -> l
         raise ValueError(f"divisor entries must be integers, got {bad[0]!r}")
     if sum(div) != 0:
         raise ValueError("divisor must have degree 0")
-    diag, F, _ = analyze(N, generator)._quotient
+    diag, F, _ = analyze(N)._quotient
     coords = _partial_sum_coords([[int(x) for x in div]])[0]
     return [(sum(map(mul, coords, f)) % d, d) for d, f in zip(diag, F)]
 
 
-def is_principal(N: int, div: list[int], generator: int | None = None) -> bool:
+def is_principal(N: int, div: list[int]) -> bool:
     """Whether a degree-0 divisor on the width-one cusps is a unit divisor."""
-    return all(r == 0 for r, _ in class_coordinates(N, div, generator))
+    return all(r == 0 for r, _ in class_coordinates(N, div))
 
 
 #: irregular primes below 800

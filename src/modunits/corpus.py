@@ -21,7 +21,6 @@ class StructureRow:
     N: int
     class_number: int
     invariants: tuple[int, ...]
-    class_number_factored: str | None = None
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,6 @@ def structures() -> dict[int, StructureRow]:
             N=n,
             class_number=int(row["class_number"]),
             invariants=tuple(int(x) for x in row["invariants"]),
-            class_number_factored=row.get("class_number_factored"),
         )
     return out
 

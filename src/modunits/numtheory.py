@@ -186,7 +186,7 @@ def moebius(n: int) -> int:
 
 
 def inv_mod(a: int, n: int) -> int:
-    """Multiplicative inverse of a modulo n, in [1, n-1].
+    """Multiplicative inverse of a modulo n, in range(n).
 
     >>> inv_mod(7, 13)
     2
@@ -195,8 +195,6 @@ def inv_mod(a: int, n: int) -> int:
         raise ValueError(f"inv_mod requires modulus >= 1, got {n}")
     if gcd(a, n) != 1:
         raise ValueError(f"inv_mod({a}, {n}): arguments are not coprime")
-    if n == 1:
-        return 0
     return pow(a, -1, n)
 
 

@@ -36,11 +36,12 @@ nonzero b_k into the sum, about D^2 / (2d) products over all steps,
 while a ring costs one interpreted step at each of the D - 1 steps,
 and one ring step costs about 2.5 products.  So the ring is cheaper
 when 5 d (D - 1) <= D^2, which 5 * d <= D ensures.  The first ring also
-brings in the ring loop, which costs about 3 products at every step
+gives the ring loop work, which costs about 3 products at every step
 whatever the rings hold, so it pays when 2 (2.5 + 3) d <= D, that is
-11 * d <= D; below that depth a step does no running-sum work.  The
-budget bounds the memory: the rings hold at most D integers, no more
-than the series.
+11 * d <= D.  There is one loop over the steps; when no d has
+11 * d <= D, the rings stay empty and the ring loop in each step does
+nothing.  The budget bounds the memory: the rings hold at most D
+integers, no more than the series.
 """
 
 from dataclasses import dataclass
@@ -166,22 +167,15 @@ def expand_product(u: UnitProduct, T: int = 8) -> QSeries:
     vals = [x for x in b[1:] if x]
     mask = [x != 0 for x in b[1:]]
     a = [1] if depth else []
-    if not rings:  # no per-step work for running sums
-        for n in range(1, depth):
-            an, r = divmod(-sum(map(mul, vals, compress(reversed(a), mask))), n)
-            if r:
-                raise ConsistencyError(f"inexact division by {n} expanding {u!r}")
-            a.append(an)
-    else:
-        an = 1  # a_0, which step 1 adds to class 0
-        for n in range(1, depth):
-            s = sum(map(mul, vals, compress(reversed(a), mask)))
-            for d, dc, ring in rings:  # add a_(n-1) to its class, read S_d(n)
-                ring[(n - 1) % d] += an
-                s += dc * ring[n % d]
-            an, r = divmod(-s, n)
-            if r:
-                raise ConsistencyError(f"inexact division by {n} expanding {u!r}")
-            a.append(an)
+    an = 1  # a_0, which step 1 adds to class 0
+    for n in range(1, depth):
+        s = sum(map(mul, vals, compress(reversed(a), mask)))
+        for d, dc, ring in rings:  # add a_(n-1) to its class, read S_d(n)
+            ring[(n - 1) % d] += an
+            s += dc * ring[n % d]
+        an, r = divmod(-s, n)
+        if r:
+            raise ConsistencyError(f"inexact division by {n} expanding {u!r}")
+        a.append(an)
     # the keys ascend and stay below trunc, and each a_n is an int
     return QSeries(N, tuple((lead + grid * j, x) for j, x in enumerate(a) if x), trunc)

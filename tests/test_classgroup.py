@@ -40,7 +40,9 @@ def _order_of(N, div):
 
 def test_structure_independent_of_generator_override():
     # analyze checks the lattice route against the analytic route for every
-    # override, at primes, odd prime powers and powers of two alike
+    # override, at primes, odd prime powers and powers of two alike.  Every
+    # basis spans the same principal lattice, so the queries without an
+    # override also decide membership for the generators an override gives
     for N in range(5, 65):
         if len(factorize(N)) != 1:
             continue
@@ -48,7 +50,12 @@ def test_structure_independent_of_generator_override():
         gens = [g for g in range(2, N // 2 + 1) if gcd(g, N) == 1 and order_in_units_mod_pm1(g, N) == n]
         assert gens, N
         for g in gens[:3]:
-            assert structure(N, g) == structure(N), (N, g)
+            report = analyze(N, g)
+            assert report.structure == structure(N), (N, g)
+            if N in (13, 25, 27, 32):
+                for div, d in report.generators:
+                    assert is_principal(N, [d * x for x in div]), (N, g, d)
+                    assert not is_principal(N, div), (N, g, d)
 
 
 def test_class_numbers_examples():
@@ -115,6 +122,15 @@ def test_analyze_stage_names():
         timings = analyze(N).timings
         assert tuple(name for name, _ in timings) == stages
         assert all(t >= 0 for _, t in timings)
+
+
+def test_report_hashable_with_short_repr():
+    # the divisor rows and the elimination state stay out of the hash and
+    # the repr; the kept block holds lists, and pytest prints the repr of
+    # a report on any failed assertion about it
+    for N in (13, 36, 97):
+        assert hash(analyze(N)) == hash(analyze(N))
+    assert len(repr(analyze(243))) < 15_000
 
 
 def test_analyze_splits_unfactored_cofactor(monkeypatch):
