@@ -1,5 +1,7 @@
+import hashlib
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from modunits import zlinalg
+from modunits import classgroup, zlinalg
 from modunits.errors import ConsistencyError
 from modunits.zlinalg import (
     det,
@@ -320,6 +322,33 @@ def test_det_solve_swaps_rows_and_columns_for_a_coprime_pivot():
     assert smith_invariants_local(block, d, y) == snf(m) == [4]
     with pytest.raises(ValueError):
         det_solve(m, b, 0)
+
+
+@lru_cache(maxsize=None)
+def _pipeline_solve_input(N):
+    # the (m, b, avoid) that `classgroup._analyze` hands det_solve at level
+    # N, or None at the levels with no divisor rows
+    calls = []
+
+    def spy(m, b, avoid):
+        calls.append((m, b, avoid))
+        return det_solve(m, b, avoid)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classgroup, "det_solve", spy)
+        classgroup._analyze.__wrapped__(N, None)
+    return calls[0] if calls else None
+
+
+def test_det_solve_pinned_on_the_pipeline_matrices():
+    # SHA-256 of repr((N, det_solve(m, b, avoid))) on the matrices of
+    # `analyze` for 5 <= N <= 100 and five larger levels: det, adj(m)*b, the
+    # kept block, the pivot rows and the column order
+    h = hashlib.sha256()
+    for N in [*range(5, 101), 127, 131, 169, 243, 256]:
+        case = _pipeline_solve_input(N)
+        h.update(repr((N, case and det_solve(*case))).encode())
+    assert h.hexdigest() == "4601263886fa02d276a76b80fbd11803de7ec27ab47426cc2541ac35b782b609"
 
 
 def _one_step_bareiss(a, avoid=1):
