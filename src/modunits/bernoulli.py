@@ -18,7 +18,9 @@ gives each unit mod N its exponent vector on fixed CRT generators, and
 `_even_exponents(N)` lists the even characters on the same generators.
 `_even_character_orbits` groups them into the Galois orbits of the exact
 route.  `DirichletCharacter` reads the same table; it and the
-floating-point B_{2,chi} are only the cross-check.
+floating-point B_{2,chi} are only the cross-check.  The table holds phi(N)
+tuples and is cached for one level at a time: the analytic route reads it
+twice per level, back to back, and a sweep meets each level once.
 """
 
 import cmath
@@ -179,7 +181,7 @@ def _orbit_norm(coeffs: list[int], d: int) -> int:
     return sign * g**m * (b[0] ** k // h ** (k - 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _unit_logs(N: int) -> tuple[tuple[int, ...], int, dict[int, tuple[int, ...]]]:
     """(orders, L, logs): the discrete logs of the units mod N.
 

@@ -83,9 +83,10 @@ class ClassGroupReport:
     structure: GroupStructure
     basis: tuple[BasisElement, ...]
     # the divisor rows and the elimination state are derived from the
-    # basis, so they stay out of the repr, the equality and the hash
+    # basis, so they stay out of the repr, the equality and the hash; the
+    # timings differ from run to run, so they stay out of the last two
     matrix: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
-    timings: tuple[tuple[str, float], ...]
+    timings: tuple[tuple[str, float], ...] = field(compare=False)
     #: (det A, adj(A)*b) of the partial-sum matrix A, rows in basis order,
     #: and b = `_solve_column`; `_analyze` passes `det_solve` the rows in
     #: another order and multiplies its det and y by the sign of that order

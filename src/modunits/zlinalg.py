@@ -2,10 +2,12 @@
 
 Dense row-major matrices are plain lists of lists.  Determinants use
 fraction-free (Bareiss) elimination.  A pass takes two pivots wherever the
-second is the diagonal entry that a one-step pass would keep as its pivot,
-and then takes each later row two levels at once with one exact division
-per entry, a[i][j] <- (p2*a[i][j] - x*a'[j] + c*a[k][j]) / prev (Bareiss's
-two-step update; `_bareiss` defines the terms).  By Sylvester's identity
+one-step loop would take its second pivot from row k+1: the diagonal entry,
+or one that a column swap brings there (done before the later rows are
+updated; column and row steps commute).  It then takes each later row two
+levels at once with one exact division per entry,
+a[i][j] <- (p2*a[i][j] - x*a'[j] + c*a[k][j]) / prev (Bareiss's two-step
+update; `_bareiss` defines the terms).  By Sylvester's identity
 the entries are the same minors as in the one-step loop, so every output
 is the same too.  `det_solve` runs the same elimination on the matrix
 extended by one column b and also returns adj(m)*b.  Given a number
@@ -67,6 +69,12 @@ def _unit(x: int, avoid: int) -> bool:
     return x != 0 and gcd(x, avoid) == 1
 
 
+def _swap_columns(rows, cols: list[int], k: int, j: int) -> None:
+    for row in rows:
+        row[k], row[j] = row[j], row[k]
+    cols[k], cols[j] = cols[j], cols[k]
+
+
 def _bareiss(a: IntMatrix, avoid: int = 1) -> tuple[int, list[int], IntMatrix]:
     """Fraction-free forward elimination of the n x m matrix a (m >= n), in
     place; returns (d, cols, block), where d is the determinant of the
@@ -93,9 +101,14 @@ def _bareiss(a: IntMatrix, avoid: int = 1) -> tuple[int, list[int], IntMatrix]:
     Math. Comp. 22 (1968)).  With p1 = a[k][k] and prev the pivot before
     it, row k+1 first takes the one-step update
     a[k+1][j] <- (p1*a[k+1][j] - a[k+1][k]*a[k][j]) / prev.  If its diagonal
-    p2 is nonzero, and coprime to `avoid` while no block is kept, step k+1
-    would take it as its pivot with no swap, so the two steps fuse: with a'
-    the row k+1 before its update, every row i > k+1 goes at once to
+    p2 is nonzero, and coprime to `avoid` or a block is kept, step k+1
+    would take it as its pivot with no swap.  If p2 is nonzero but not
+    coprime to `avoid` and no block is kept, step k+1 would swap in the
+    first column j, k+1 < j < n, where row k+1 has an entry coprime to
+    `avoid`; the pass swaps it now, in every row and in a' below, and p2
+    becomes that entry.  Step k updates columns j and k+1 alike, so the
+    swap commutes with it.  In both cases the two steps fuse: with a' the
+    row k+1 before its update, every row i > k+1 goes at once to
 
         x = (a[i][k+1]*p1 - a[i][k]*a[k][k+1]) / prev
         c = (a[i][k+1]*a'[k] - a[i][k]*a'[k+1]) / prev
@@ -104,7 +117,11 @@ def _bareiss(a: IntMatrix, avoid: int = 1) -> tuple[int, list[int], IntMatrix]:
     three products and one exact division per entry for two pivots where
     one-step updates take four and two.  Both give the same minors, so a,
     d, cols and block are those of the one-step loop.  Otherwise rows
-    i > k+1 take the one-step update and the next pass is step k+1.
+    i > k+1 take the one-step update and the next pass is step k+1: where
+    p2 = 0, as the one-step loop first returns 0 if column k+1 is 0 from
+    row k+1 down, and a swap would change cols on that singular input; and
+    where row k+1 has no entry coprime to `avoid`, as step k+1 then swaps
+    a row in or keeps the block.
     """
     n = len(a)
     sign = 1
@@ -120,9 +137,7 @@ def _bareiss(a: IntMatrix, avoid: int = 1) -> tuple[int, list[int], IntMatrix]:
             j = next((j for j in range(k + 1, n) if _unit(a[k][j], avoid)), None)
             i = None if j is not None else next((i for i in range(k + 1, n) if _unit(a[i][k], avoid)), None)
             if j is not None:
-                for row in a:
-                    row[k], row[j] = row[j], row[k]
-                cols[k], cols[j] = cols[j], cols[k]
+                _swap_columns(a, cols, k, j)
                 sign = -sign
             elif i is None:
                 block = [row[k:n] for row in a[k:]]
@@ -150,8 +165,14 @@ def _bareiss(a: IntMatrix, avoid: int = 1) -> tuple[int, list[int], IntMatrix]:
                     row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
             row_i[k] = 0
             if i == k + 1:
-                # step k+1 needs no pivot search: fuse it with step k
+                # step k+1 needs no pivot search, or finds its pivot along
+                # row k+1: fuse it with step k
                 p2 = row_i[k + 1]
+                if block is None and p2 and not _unit(p2, avoid):
+                    j = next((j for j in range(k + 2, n) if _unit(row_i[j], avoid)), None)
+                    if j is not None:
+                        _swap_columns([*a, ahead], cols, k + 1, j)
+                        sign, p2 = -sign, row_i[k + 1]
                 pair = p2 != 0 and (block is not None or _unit(p2, avoid))
         prev, k = (p2, k + 2) if pair else (pivot, k + 1)
     return sign * a[n - 1][n - 1], cols, block or []

@@ -137,6 +137,16 @@ def test_unit_logs_table():
             assert logs[a * b % N] == tuple((s + t) % L for s, t in zip(logs[a], logs[b])), (N, a, b)
 
 
+def test_unit_logs_keeps_one_table():
+    # the analytic route reads the table twice per level, back to back, so
+    # a sweep misses once and hits once per level and keeps the last table
+    _unit_logs.cache_clear()
+    for N in range(5, 41):
+        _even_character_orbits(N)
+    info = _unit_logs.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (36, 36, 1)
+
+
 def test_angles_at_non_units_and_conductor_one():
     for N in (12, 21, 36, 40):
         for chi in enumerate_even_characters(N):

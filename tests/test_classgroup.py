@@ -131,6 +131,12 @@ def test_report_hashable_with_short_repr():
     for N in (13, 36, 97):
         assert hash(analyze(N)) == hash(analyze(N))
     assert len(repr(analyze(243))) < 15_000
+    # nor do the timings count: a second analysis of a level is equal
+    first = analyze(13)
+    classgroup._analyze.cache_clear()
+    again = analyze(13)
+    assert again is not first
+    assert again == first and hash(again) == hash(first)
 
 
 def test_analyze_splits_unfactored_cofactor(monkeypatch):

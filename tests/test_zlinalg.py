@@ -440,12 +440,15 @@ def test_bareiss_fuses_pairs_of_steps():
     _pinned_bareiss(m, 1, (19, [0, 1, 2], []), [[2, 1, 1, 1], [0, 5, 3, 3], [0, 0, 19, 14]])
 
 
-def test_bareiss_second_pivot_sharing_a_factor_is_a_single_step():
-    # avoid = 2: after step 0 a[1][1] = 2 is even, so rows 2 and 3 take one
-    # step; step 1 swaps in column 3 (pivot -1) and fuses with step 2
+def test_bareiss_second_pivot_sharing_a_factor_fuses_after_a_column_swap():
+    # avoid = 2: after step 0 a[1][1] = 2 is even and a[1][3] = -1 is odd,
+    # so pass 0 swaps column 3 in, as step 1 of the one-step loop would,
+    # and rows 2 and 3 take steps 0 and 1 at once; steps 2 and 3 fuse too.
+    # 12 exact divisions against 14 one step at a time
     m = [[-1, 2, 2, 1], [-1, 0, 0, 2], [0, -2, -1, 1], [1, 1, 0, -2]]
     eliminated = [[-1, 1, 2, 2], [0, -1, 2, 2], [0, 0, -1, 0], [0, 0, 0, -1]]
     _pinned_bareiss(m, 2, (1, [0, 3, 2, 1], []), eliminated)
+    assert _divisions(zlinalg._bareiss, m, 2) == 12 < _divisions(_one_step_bareiss, m, 2) == 14
 
 
 def test_bareiss_second_pivot_zero_is_a_single_step():
@@ -496,6 +499,18 @@ def test_bareiss_fuses_pairs_after_a_kept_block():
     # a[1][1] = 0 is a single step, and step 1 swaps in row 2
     m = [[-4, -4, 2], [-2, -2, 0], [-2, -1, 0]]
     _pinned_bareiss(m, 2, (-4, [0, 1, 2], m), [[-4, -4, 2], [0, -4, 4], [0, 0, 4]])
+
+
+def test_bareiss_fuses_every_pass_at_level_127():
+    # pivots coprime to h on the 62 x 63 system of `analyze(127)`: 19 of
+    # the 31 second pivots share a factor with h and take a column along
+    # their row, and every pass fuses two steps.  Fusing only where the
+    # second pivot is the diagonal took 15 pairs and 32 single passes,
+    # 67 651 divisions
+    m, b, h = _pipeline_solve_input(127)
+    a = [row + [x] for row, x in zip(m, b)]
+    assert _divisions(zlinalg._bareiss, a, h) == 41_602
+    assert _divisions(_one_step_bareiss, a, h) == 79_422
 
 
 def test_bareiss_last_pair():
