@@ -5,6 +5,10 @@ Public surface: unit products and cusp divisors (`siegel`), explicit bases
 (`basis`), exact class numbers by two independent routes and group
 structure (`classgroup`), q-expansions (`qexpansion`), exact integer
 linear algebra (`zlinalg`), and number-theoretic plumbing (`numtheory`).
+
+`modunits.basis` is the function, bound over the submodule's name, so a
+test that patches the module reaches it through
+`importlib.import_module("modunits.basis")`.
 """
 
 __version__ = "0.1.0"

@@ -4,9 +4,9 @@ For every level N >= 5 the construction returns exactly phi(N)/2 - 1
 multiplicatively independent unit products.  One construction serves every
 prime-power level (primes, odd prime powers and powers of two) and one
 every composite level.
-Elements coming from a lower level M (scaled by d = N/M) keep their level-M
-exponent vector for display while the level-N vector drives all divisor
-arithmetic.
+An element stores only its level-N unit and the scale d = N/M of the level
+M it comes from; its level-M exponents, shown by the display and the
+machine-readable form, are derived from that unit (h*d at N is h at M).
 """
 
 from dataclasses import dataclass
@@ -15,13 +15,13 @@ from math import gcd, prod
 
 from .errors import ConsistencyError
 from .numtheory import (
+    check_generator_mod_pm1,
     crt_pair,
     divisors,
     euler_phi,
     factorize,
     inv_mod,
     moebius,
-    order_in_units_mod_pm1,
     generator_mod_pm1,
 )
 from .siegel import LevelContext, UnitProduct, normalize_index, render_product
@@ -36,18 +36,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BasisElement:
-    """One generator, with the sub-level data it was assembled from."""
+    """One generator: its unit at level N, scaled by `scale` = N/M from level M."""
 
     unit: UnitProduct
-    sublevel: int
     scale: int
-    sub_exponents: tuple[tuple[int, int], ...]
+
+    @property
+    def sublevel(self) -> int:
+        return self.unit.level // self.scale
+
+    @property
+    def sub_exponents(self) -> tuple[tuple[int, int], ...]:
+        return tuple((h // self.scale, e) for h, e in self.unit.items())
 
     @property
     def display(self) -> str:
-        if self.scale == 1:
-            return render_product(dict(self.sub_exponents))
-        return render_product(dict(self.sub_exponents), level=self.sublevel, scale=self.scale)
+        level = self.sublevel if self.scale > 1 else None
+        return render_product(self.sub_exponents, level=level, scale=self.scale)
 
     def __str__(self) -> str:
         return self.display
@@ -57,15 +62,11 @@ def _element(N: int, sub: UnitProduct) -> BasisElement:
     """The product `sub` at level M | N, as the unit g_h -> g_{h*N/M} at level N."""
     d = N // sub.level
     unit = sub if d == 1 else UnitProduct(N, [(h * d, e) for h, e in sub.items()])
-    return BasisElement(unit=unit, sublevel=sub.level, scale=d, sub_exponents=tuple(sub.items()))
+    return BasisElement(unit, d)
 
 
 def _resolve_generator(q: int, generator: int | None) -> int:
-    if generator is None:
-        return generator_mod_pm1(q)
-    if gcd(generator, q) != 1 or order_in_units_mod_pm1(generator, q) != euler_phi(q) // 2:
-        raise ValueError(f"{generator} does not generate (Z/{q}Z)^x/+-1")
-    return generator
+    return generator_mod_pm1(q) if generator is None else check_generator_mod_pm1(generator, q)
 
 
 def _checked_count(N: int, out: list[BasisElement], expected: int) -> list[BasisElement]:

@@ -33,6 +33,7 @@ from math import gcd, lcm
 from .errors import ConsistencyError
 from .numtheory import (
     b2,
+    check_generator_mod_pm1,
     crt_pair,
     divisors,
     euler_phi,
@@ -58,8 +59,7 @@ def _bernoulli_keys(N: int, generator: int | None) -> list[list[int]]:
     if generator is None:
         invs = [inv_mod(a, N) for a in idx]
         return [[unit_lead_key(N, a * ainv) for ainv in invs] for a in idx]
-    if gcd(generator, N) != 1 or order_in_units_mod_pm1(generator, N) != n:
-        raise ValueError(f"{generator} does not generate (Z/{N}Z)^x/+-1")
+    check_generator_mod_pm1(generator, N)
     powers = [pow(generator, k, N) for k in range(2 * n - 1)]
     return [[unit_lead_key(N, powers[i + j]) for j in range(n)] for i in range(n)]
 
@@ -76,14 +76,14 @@ def bernoulli_matrix(N: int, generator: int | None = None) -> list[list[Fraction
     return [[Fraction(k, scale) for k in row] for row in _bernoulli_keys(N, generator)]
 
 
-def bernoulli_matrix_det(N: int, generator: int | None = None) -> Fraction:
+def bernoulli_matrix_det(N: int) -> Fraction:
     """Exact determinant of the Bernoulli matrix.
 
     Equals the product of (1/4)*B_{2,chi} over all even characters mod N,
     up to a sign that depends on the index ordering.  The determinant of
     the integer matrix 12N * M is computed fraction-free and scaled back.
     """
-    keys = _bernoulli_keys(N, generator)
+    keys = _bernoulli_keys(N, None)
     return Fraction(det_int(keys), (12 * N) ** len(keys))
 
 

@@ -251,8 +251,8 @@ def _analyze(N: int, generator: int | None) -> ClassGroupReport:
     # last step, and the Bareiss pivots outgrow h
     t0 = time.perf_counter()
     coords = _partial_sum_coords(rows)
-    order = [i for i, el in enumerate(elements) if el.sublevel == N][::-1]
-    order += [i for i, el in enumerate(elements) if el.sublevel != N]
+    order = [i for i, el in enumerate(elements) if el.scale == 1][::-1]
+    order += [i for i, el in enumerate(elements) if el.scale != 1]
     b = _solve_column(len(coords))
     det, y, block, pivot_rows, cols = det_solve([coords[i] for i in order], [b[i] for i in order], h_yu) if coords else (1, [], [], [], [])
     if _is_odd(order) and det:

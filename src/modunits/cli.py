@@ -7,14 +7,15 @@ output; classnum, structure, basis, verify and qcheck take --generator, the
 generator override at prime-power levels.  classnum, structure, basis and
 table cache results as JSON files keyed by (N, generator, tool version,
 CACHE_REVISION) in --cache-dir or MODUNITS_CACHE_DIR, unless --no-cache.
-A cached record is served only if it matches its key, its invariants
-multiply to its class number, that class number is the analytic one
-(`class_number_yu`) and its basis is the one `build_record` writes;
-otherwise it is recomputed and overwritten.  Each level record printed says
-"cache": "hit" (loaded, with the timings of the run that stored it), "miss"
-(no file: computed by this run) or "stale" (a file that failed those checks:
-recomputed by this run); the label is not stored.  A cache directory that
-cannot be created or written is refused before any level is computed.
+A cached record is served only if its invariants multiply to the analytic
+class number (`class_number_yu`) and it is, spelling for spelling, the
+record `build_record` writes from them, with its stored checks, timestamps
+and timings copied in; otherwise it is recomputed and overwritten.  Each
+level record printed says "cache": "hit" (loaded, with the timings of the
+run that stored it), "miss" (no file: computed by this run) or "stale" (a
+file that failed those checks: recomputed by this run); the label is not
+stored.  A cache directory that cannot be created or written is refused
+before any level is computed.
 
 Exit codes: 0 success, 2 invalid arguments (an unusable cache directory
 among them), 3 internal consistency failure or reference-table mismatch.
@@ -59,73 +60,65 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).replace(microsecond=0).isoformat()
 
 
-def _basis_json(elements) -> list[dict]:
-    """The "basis" field of a record, as it reads back from JSON."""
-    return [
-        {
-            "level": el.sublevel,
-            "scale": el.scale,
-            "exponents": {str(h): e for h, e in el.sub_exponents},
-            "display": el.display,
-        }
-        for el in elements
-    ]
+def _record(N: int, generator: int | None, structure: GroupStructure, elements, checks, timestamps, timings) -> dict:
+    """A level record: the one place its fields and their spelling are set."""
+    return {
+        "n": N,
+        "generator": generator,
+        "version": __version__,
+        "class_number": str(structure.order),
+        "invariants": [str(d) for d in structure.invariants],
+        "basis": [
+            {
+                "level": el.sublevel,
+                "scale": el.scale,
+                "exponents": {str(h): e for h, e in el.sub_exponents},
+                "display": el.display,
+            }
+            for el in elements
+        ],
+        "checks": checks,
+        "timestamps": timestamps,
+        "timings": timings,
+    }
 
 
 def build_record(N: int, generator: int | None = None) -> dict:
     """Full machine-readable result for one level (the cacheable unit)."""
     report = analyze(N, generator)
-    return {
-        "n": N,
-        "generator": generator,
-        "version": __version__,
-        "class_number": str(report.h_lattice),
-        "invariants": [str(d) for d in report.structure.invariants],
-        "basis": _basis_json(report.basis),
-        "checks": {
-            "yu_vs_lattice": report.h_lattice == report.h_yu,
-            # the orbit condition is only checked at composite levels
-            "orbit": None if is_prime(N) else True,
-            # the q-expansion lead is the divisor key at cusp 1/N, which
-            # analyze already required to be a multiple of 12N for every element
-            "q_integrality": True,
-        },
-        "timestamps": {"computed_at": _utc_now()},
-        "timings": {stage: t for stage, t in report.timings},
+    checks = {
+        "yu_vs_lattice": report.h_lattice == report.h_yu,
+        # the orbit condition is only checked at composite levels
+        "orbit": None if is_prime(N) else True,
+        # the q-expansion lead is the divisor key at cusp 1/N, which
+        # analyze already required to be a multiple of 12N for every element
+        "q_integrality": True,
     }
+    timestamps = {"computed_at": _utc_now()}
+    return _record(N, generator, report.structure, report.basis, checks, timestamps, dict(report.timings))
 
 
-def _decimal(x) -> int:
-    """The integer whose decimal string, as `build_record` writes it, is x;
-    ValueError for anything else, such as 19.0, 19 or "019"."""
-    if isinstance(x, str) and str(n := int(x)) == x:
-        return n
-    raise ValueError(f"not a decimal string: {x!r}")
+def _structure(rec) -> GroupStructure:
+    return GroupStructure(tuple(int(d) for d in rec["invariants"]))
 
 
 def _is_valid_record(rec, N: int, generator: int | None) -> bool:
     """Whether a loaded record is the one `build_record` writes for
-    (N, generator, version): the key, the class number and the invariants
-    spelled as it spells them, invariants that form a divisibility chain
-    whose product is the class number, that class number equal to
-    `class_number_yu(N)`, and the same basis.  A rewrite of the invariants
-    alone that keeps their product is not caught."""
-    if not isinstance(rec, dict):
-        return False
-    key = [rec.get("n"), rec.get("generator"), rec.get("version")]
-    if json.dumps(key) != json.dumps([N, generator, __version__]):  # 13.0 == 13, but dumps as 13.0
-        return False
+    (N, generator, version): its invariants multiply to `class_number_yu(N)`,
+    and it equals, under `json.dumps(sort_keys=True)`, the `_record` of those
+    invariants and `basis(N, generator)` with its stored checks, timestamps
+    and timings copied in.  So a missing or extra field, or a value spelled
+    otherwise, fails.  The copied blocks are not checked, and a rewrite of
+    the invariants alone that keeps their product is not caught."""
     try:
-        h = _decimal(rec["class_number"])
-        invariants = rec["invariants"]
-        st = GroupStructure(tuple(_decimal(d) for d in invariants))
-    except (KeyError, TypeError, ValueError):
+        st = _structure(rec)
+        copied = rec["checks"], rec["timestamps"], rec["timings"]
+    except (LookupError, TypeError, ValueError, ArithmeticError):  # ArithmeticError: int(Infinity)
         return False
-    return (
-        isinstance(invariants, list)
-        and st.order == h == class_number_yu(N)
-        and rec.get("basis") == _basis_json(basis(N, generator))
-    )
+    if st.order != class_number_yu(N):
+        return False
+    want = _record(N, generator, st, basis(N, generator), *copied)
+    return json.dumps(rec, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 class CacheError(ValueError):
@@ -211,10 +204,6 @@ def _emit(args, record, text: str) -> None:
         print(text)
 
 
-def _invariants_str(invariants) -> str:
-    return "[" + ", ".join(str(d) for d in invariants) + "]"
-
-
 def _cache(args) -> Cache:
     """The cache named by --cache-dir or MODUNITS_CACHE_DIR, off with
     --no-cache; its directory is created here, so an unusable one is refused
@@ -227,7 +216,7 @@ def _cache(args) -> Cache:
 #: the commands that print one field of a level record: help, text of the record
 LEVEL_COMMANDS = {
     "classnum": ("class number at level N", lambda rec: rec["class_number"]),
-    "structure": ("elementary divisors at level N", lambda rec: _invariants_str(rec["invariants"])),
+    "structure": ("elementary divisors at level N", lambda rec: str(_structure(rec))),
     "basis": ("unit basis at level N", lambda rec: "\n".join(el["display"] for el in rec["basis"])),
 }
 
@@ -325,10 +314,7 @@ def cmd_table(args) -> int:
         print(f"{'N':>4} {'genus':>6} {'class number':>28}  structure")
         for N in levels:
             rec = records[N]
-            print(
-                f"{N:>4} {genus_x1(N):>6} {rec['class_number']:>28}  "
-                f"{_invariants_str(rec['invariants'])}"
-            )
+            print(f"{N:>4} {genus_x1(N):>6} {rec['class_number']:>28}  {_structure(rec)}")
     if not args.check:
         return EXIT_OK
 

@@ -284,6 +284,13 @@ def generator_mod_pm1(q: int) -> int:
     raise AssertionError(f"no generator found for q={q}")  # cyclic, cannot happen
 
 
+def check_generator_mod_pm1(a: int, m: int) -> int:
+    """a, if it generates (Z/mZ)^x / {+-1}; ValueError otherwise."""
+    if gcd(a, m) != 1 or order_in_units_mod_pm1(a, m) != euler_phi(m) // 2:
+        raise ValueError(f"{a} does not generate (Z/{m}Z)^x/+-1")
+    return a
+
+
 def primitive_root(q: int) -> int:
     """Smallest primitive root modulo an odd prime power q (or q in {2, 4})."""
     if q in (2, 4):

@@ -247,9 +247,7 @@ def det_solve(m, b, avoid: int = 1) -> tuple[int, list[int] | None, IntMatrix | 
         row = a[i]
         acc = top * row[n] - sum(row[j] * x[j] for j in range(i + 1, n))
         x[i] = acc // row[i]
-    y = [0] * n
-    for j, c in enumerate(cols):
-        y[c] = x[j] if top == d else -x[j]
+    y = _unswap(x if top == d else [-v for v in x], cols)
     return d, y, block, [row[:n] for row in a[: n - len(block)]], cols
 
 

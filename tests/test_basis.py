@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from modunits.basis import basis, mobius_product, orbit_alternating_product
+from modunits.bernoulli import bernoulli_matrix
 from modunits.numtheory import euler_phi, factorize
 from modunits.siegel import divisor, is_gamma1_modular, orbit_condition_holds
 from modunits.zlinalg import lattice_index
@@ -17,6 +18,20 @@ def test_prime_13_generator_7():
         "E2^4*E5/(E4^5)",
         "E4^13/(E2^13)",
     ]
+
+
+@pytest.mark.parametrize("build, N", [(basis, 13), (basis, 32), (bernoulli_matrix, 13)])
+def test_a_generator_override_is_checked_in_one_place(build, N):
+    # 4 has order 3 in (Z/13)^x/+-1 of order 6, and is not a unit mod 32
+    with pytest.raises(ValueError) as exc:
+        build(N, generator=4)
+    assert str(exc.value) == f"4 does not generate (Z/{N}Z)^x/+-1"
+
+
+def test_bernoulli_matrix_takes_a_generator_at_a_cyclic_composite_level():
+    # (Z/21)^x/+-1 is cyclic of order 6, generated by 2: the check asks for
+    # a generator, not for a prime power
+    assert len(bernoulli_matrix(21, generator=2)) == 6
 
 
 def test_prime_5_smallest_case():

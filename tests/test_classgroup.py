@@ -95,7 +95,7 @@ def test_analyze_one_cache_entry_per_level():
 
 
 def _bare_element(unit):
-    return BasisElement(unit, unit.level, 1, tuple(unit.items()))
+    return BasisElement(unit, 1)
 
 
 def test_divisor_rows_refuse_a_bad_element(monkeypatch):

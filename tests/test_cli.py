@@ -264,21 +264,31 @@ def test_cache_never_serves_a_wrong_or_corrupt_record(tmp_path, capsys):
     assert (code, out.strip()) == (0, "19")
 
 
+def _without(field):
+    return lambda rec: {k: v for k, v in rec.items() if k != field}
+
+
 @pytest.mark.parametrize(
     "rewrite",
     [
         # class number and invariants together: they still multiply out
-        lambda rec: dict(rec, class_number="38", invariants=["38"]),
+        pytest.param(lambda rec: dict(rec, class_number="38", invariants=["38"]), id="class-number-and-invariants"),
         # the basis alone: the first element's exponents negated
-        lambda rec: dict(
-            rec,
-            basis=[
-                dict(el, exponents={h: -e for h, e in el["exponents"].items()}) if i == 0 else el
-                for i, el in enumerate(rec["basis"])
-            ],
+        pytest.param(
+            lambda rec: dict(
+                rec,
+                basis=[
+                    dict(el, exponents={h: -e for h, e in el["exponents"].items()}) if i == 0 else el
+                    for i, el in enumerate(rec["basis"])
+                ],
+            ),
+            id="basis",
         ),
+        # a missing or an extra field: each was served as a hit while the
+        # validity check named the fields it read
+        *(pytest.param(_without(f), id=f"no-{f}") for f in ("generator", "checks", "timings", "timestamps")),
+        pytest.param(lambda rec: dict(rec, note="extra"), id="extra-field"),
     ],
-    ids=["class-number-and-invariants", "basis"],
 )
 def test_cache_recomputes_a_consistent_rewrite_as_stale(tmp_path, capsys, rewrite):
     code, out, _ = run_cli(capsys, "classnum", "13", "--json", "--cache-dir", str(tmp_path))
@@ -314,6 +324,7 @@ def test_cache_recomputes_a_consistent_rewrite_as_stale(tmp_path, capsys, rewrit
         ("invariants", "19"),
         ("invariants", {"19": "19"}),  # iterates to ["19"]
         ("n", 13.0),
+        ("invariants", [float("inf")]),  # int() raises OverflowError
     ],
 )
 def test_cache_reads_only_the_decimal_strings_it_writes(tmp_path, capsys, field, value):
@@ -330,6 +341,29 @@ def test_cache_reads_only_the_decimal_strings_it_writes(tmp_path, capsys, field,
     got = (code, rec["cache"], rec["n"], rec["class_number"], rec["invariants"])
     assert got == (0, "stale", 13, "19", ["19"])
     assert json.loads(path.read_text())[field] == rec[field]
+
+
+#: files as `Cache.store` wrote them while the validity check listed the
+#: fields it read and `BasisElement` stored its level-M exponents; the
+#: second holds a scaled element
+STORED_RECORDS = {
+    13: '''{"basis": [{"display": "E1*E4^36/(E2^37)", "exponents": {"1": 1, "2": -37, "4": 36}, "level": 13, "scale": 1}, {"display": "E2*E5^36/(E4^37)", "exponents": {"2": 1, "4": -37, "5": 36}, "level": 13, "scale": 1}, {"display": "E3^36*E4/(E5^37)", "exponents": {"3": 36, "4": 1, "5": -37}, "level": 13, "scale": 1}, {"display": "E5*E6^36/(E3^37)", "exponents": {"3": -37, "5": 1, "6": 36}, "level": 13, "scale": 1}, {"display": "E3^13/(E6^13)", "exponents": {"3": 13, "6": -13}, "level": 13, "scale": 1}], "checks": {"orbit": null, "q_integrality": true, "yu_vs_lattice": true}, "class_number": "19", "generator": null, "invariants": ["19"], "n": 13, "timestamps": {"computed_at": "2026-10-20T10:41:32+00:00"}, "timings": {"analytic": 0.00028016800206387416, "basis": 0.00013022100029047579, "det_solve": 0.0011511359989526682, "divisors": 0.00010977899364661425, "local_smith": 1.5158999303821474e-05}, "version": "0.1.0"}''',
+    16: '''{"basis": [{"display": "E1*E5/(E3*E7)", "exponents": {"1": 1, "3": -1, "5": 1, "7": -1}, "level": 16, "scale": 1}, {"display": "E3^2/(E5^2)", "exponents": {"3": 2, "5": -2}, "level": 16, "scale": 1}, {"display": "E1^(8)(2t)/(E3^(8)(2t))", "exponents": {"1": 1, "3": -1}, "level": 8, "scale": 2}], "checks": {"orbit": true, "q_integrality": true, "yu_vs_lattice": true}, "class_number": "10", "generator": null, "invariants": ["10"], "n": 16, "timestamps": {"computed_at": "2026-10-20T10:41:36+00:00"}, "timings": {"analytic": 0.00021971399837639183, "basis": 9.744399721967056e-05, "det_solve": 9.044000034919009e-05, "divisors": 0.00010954399476759136, "local_smith": 3.9701997593510896e-05}, "version": "0.1.0"}''',
+}
+
+
+@pytest.mark.parametrize("N", list(STORED_RECORDS))
+def test_cache_serves_a_record_stored_before_the_record_helper(tmp_path, capsys, monkeypatch, N):
+    # the record format did not change, so CACHE_REVISION stays
+    assert CACHE_REVISION == 3
+    text = STORED_RECORDS[N]
+    path = tmp_path / f"N{N}-gauto-v{__version__}-r{CACHE_REVISION}.json"
+    path.write_text(text)
+    monkeypatch.setattr(cli, "build_record", refuse_to_compute)
+    code, out, _ = run_cli(capsys, "classnum", str(N), "--json", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out) == dict(json.loads(text), cache="hit")
+    assert path.read_text() == text
 
 
 def test_cache_env_and_no_cache(tmp_path, capsys, monkeypatch):
