@@ -199,11 +199,21 @@ def test_divisor_matrix_full_rank():
         assert class_number_lattice(N) >= 1
 
 
-def test_bases_pinned_by_hash():
-    # every element at 5 <= N <= 300: its unit, sub-level data and display
+def _basis_digest(top: int) -> str:
+    """SHA-256 over every element at 5 <= N <= top: its unit, sub-level data and display."""
     h = hashlib.sha256()
-    for N in range(5, 301):
+    for N in range(5, top + 1):
         for el in basis(N):
             rec = (tuple(el.unit.items()), el.sublevel, el.scale, el.sub_exponents, el.display)
             h.update(repr((N, rec)).encode())
-    assert h.hexdigest() == "b4fb62b283175e3701b51e01e2556ac949e355b23d9c85e98cb1fbba70812e3b"
+    return h.hexdigest()
+
+
+def test_bases_pinned_by_hash():
+    assert _basis_digest(300) == "b4fb62b283175e3701b51e01e2556ac949e355b23d9c85e98cb1fbba70812e3b"
+
+
+@pytest.mark.extended
+def test_bases_pinned_by_hash_to_1200():
+    # reaches 900 = 2^2 * 3^2 * 5^2, the one level up to 1200 with three squared primes
+    assert _basis_digest(1200) == "6f2e677d07085e5414bd6f399d2d5b8b79b3e4d9268c8a22349dc60c3083b397"
