@@ -4,8 +4,12 @@ For every level N >= 5 the construction returns exactly phi(N)/2 - 1
 multiplicatively independent unit products.  One construction serves every
 prime-power level (primes, odd prime powers and powers of two) and one
 every composite level.
-An element stores only its level-N unit and the scale d = N/M of the level
-M it comes from; its level-M exponents, shown by the display and the
+Each element is one `UnitProduct` at level N, built from the (index,
+exponent) pairs of its factors: an index h at level M | N is h*d at N with
+d = N/M, and the Moebius products read the CRT idempotents of M from
+`LevelContext.mobius`, so no intermediate product is formed.
+An element stores only its level-N unit and the scale d of the level M it
+comes from; its level-M exponents, shown by the display and the
 machine-readable form, are derived from that unit (h*d at N is h at M).
 """
 
@@ -16,12 +20,10 @@ from math import gcd, prod
 from .errors import ConsistencyError
 from .numtheory import (
     check_generator_mod_pm1,
-    crt_pair,
     divisors,
     euler_phi,
     factorize,
     inv_mod,
-    moebius,
     generator_mod_pm1,
 )
 from .siegel import LevelContext, UnitProduct, normalize_index, render_product
@@ -58,13 +60,6 @@ class BasisElement:
         return self.display
 
 
-def _element(N: int, sub: UnitProduct) -> BasisElement:
-    """The product `sub` at level M | N, as the unit g_h -> g_{h*N/M} at level N."""
-    d = N // sub.level
-    unit = sub if d == 1 else UnitProduct(N, [(h * d, e) for h, e in sub.items()])
-    return BasisElement(unit, d)
-
-
 def _resolve_generator(q: int, generator: int | None) -> int:
     return generator_mod_pm1(q) if generator is None else check_generator_mod_pm1(generator, q)
 
@@ -90,36 +85,54 @@ def _prime_power_basis(p: int, k: int, generator: int | None) -> list[BasisEleme
     bsq = normalize_index(p, inv_mod(a, p)) ** 2
     phi = [1] + [euler_phi(p**ell) // 2 for ell in range(1, k + 1)]
 
-    def quotient(M: int, i: int, shift: int, e: int) -> UnitProduct:
-        """E_{a^(i-1)}^e / E_{a^(i+shift-1)}^e at level M."""
-        return UnitProduct(M, [(pow(a, i - 1, M), e), (pow(a, i + shift - 1, M), -e)])
+    def quotient(M: int, i: int, shift: int, e: int) -> list[tuple[int, int]]:
+        """E_{a^(i-1)}^e / E_{a^(i+shift-1)}^e at level M, as level-N pairs."""
+        d = N // M
+        return [(pow(a, i - 1, M) * d, e), (pow(a, i + shift - 1, M) * d, -e)]
 
     top, shift = phi[k] - phi[k - 1], phi[k - 1]
-    out = []
-    for i in range(1, top):
-        band = quotient(N, i, shift, 1) / quotient(N, i + 1, shift, bsq)
-        out.append(_element(N, band))
-    out.append(_element(N, quotient(N, top, shift, p)))
+    out = [
+        BasisElement(UnitProduct(N, quotient(N, i, shift, 1) + quotient(N, i + 1, shift, -bsq)), 1)
+        for i in range(1, top)
+    ]
+    out.append(BasisElement(UnitProduct(N, quotient(N, top, shift, p)), 1))
     for ell in range(k - 1, 2 if p == 2 else 0, -1):
         M = p**ell
         shift = phi[ell - 1]
         for i in range(phi[k] - phi[ell] + 1, phi[k] - shift + 1):
-            out.append(_element(N, quotient(M, i, shift, 1)))
+            out.append(BasisElement(UnitProduct(N, quotient(M, i, shift, 1)), N // M))
     return _checked_count(N, out, phi[k] - 1)
+
+
+def _mobius_pairs(ctx: LevelContext, g: int, d: int = 1, sign: int = 1) -> list[tuple[int, int]]:
+    """The Moebius product F_g^sign at level M = ctx.N, as the pairs of its
+    indices scaled by d (h at M is h*d at level M*d) with their exponents."""
+    if gcd(g, ctx.N) != 1:
+        raise ValueError(f"index {g} is not coprime to {ctx.N}")
+    gd = g * d
+    return [(gd * e, sign * mu) for e, mu in ctx.mobius]
+
+
+def _alternating_pairs(ctx: LevelContext, g: int, shifts, squared, d: int = 1) -> list[tuple[int, int]]:
+    """The orbit-alternating product at level M = ctx.N, as `_mobius_pairs`
+    scaled by d; `squared` are the squared primes of M, one per shift."""
+    M = ctx.N
+    pairs = []
+    for choice in product((0, 1), repeat=len(squared)):
+        h = g + sum(n * m * (M // p) for n, m, p in zip(choice, shifts, squared))
+        pairs += _mobius_pairs(ctx, h, d, -1 if sum(choice) % 2 else 1)
+    return pairs
 
 
 def mobius_product(M: int, g: int) -> UnitProduct:
     """Moebius-weighted product isolating the coprime index class of g.
 
     The product over squarefree-compatible divisors k of the unsquared part
-    of M (k != M) of E_{g(k)}^mu(k), where g(k) is 0 mod k and g mod M/k.
-    For squarefree M this runs over all proper divisors.
+    of M (k != M) of E_{g(k)}^mu(k), where g(k) = g * e_k is 0 mod k and
+    g mod M/k (e_k from `LevelContext.mobius`).  For squarefree M this runs
+    over all proper divisors.
     """
-    if gcd(g, M) != 1:
-        raise ValueError(f"index {g} is not coprime to {M}")
-    unsquared = prod(p for p, e in factorize(M) if e == 1)
-    pairs = [(crt_pair(0, k, g, M // k), moebius(k)) for k in divisors(unsquared) if k != M]
-    return UnitProduct(M, pairs)
+    return UnitProduct(M, _mobius_pairs(LevelContext.of(M), g))
 
 
 def orbit_alternating_product(M: int, g: int, shifts: tuple[int, ...]) -> UnitProduct:
@@ -129,15 +142,11 @@ def orbit_alternating_product(M: int, g: int, shifts: tuple[int, ...]) -> UnitPr
     product over (n_1..n_l) in {0,1}^l of F_{g + sum n_i m_i M/p_i}^((-1)^sum n_i),
     with F the Moebius product.
     """
-    squared = [p for p, e in factorize(M) if e >= 2]
+    ctx = LevelContext.of(M)
+    squared = [p for p, e in ctx.factorization if e >= 2]
     if len(shifts) != len(squared):
         raise ValueError(f"expected {len(squared)} shifts for M={M}, got {len(shifts)}")
-    pairs = []
-    for choice in product((0, 1), repeat=len(squared)):
-        h = g + sum(n * m * (M // p) for n, m, p in zip(choice, shifts, squared))
-        sign = -1 if sum(choice) % 2 else 1
-        pairs += [(idx, sign * e) for idx, e in mobius_product(M, h).items()]
-    return UnitProduct(M, pairs)
+    return UnitProduct(M, _alternating_pairs(ctx, g, shifts, squared))
 
 
 def _composite_basis(N: int) -> list[BasisElement]:
@@ -156,16 +165,20 @@ def _composite_basis(N: int) -> list[BasisElement]:
     for M in divisors(N):
         if M % L:
             continue
+        ctx, d = LevelContext.of(M), N // M
         squared = [p for p in primes if M % (p * p) == 0]
         if not squared:  # M = L
-            F = [mobius_product(M, g) for g in LevelContext.of(M).cusps]
-            out += [_element(N, f1 / f2) for f1, f2 in zip(F, F[1:])]
+            cusps = ctx.cusps
+            out += [
+                BasisElement(UnitProduct(N, _mobius_pairs(ctx, g1, d) + _mobius_pairs(ctx, g2, d, -1)), d)
+                for g1, g2 in zip(cusps, cusps[1:])
+            ]
             continue
         for g in range(1, M // (2 * prod(squared)) + 1):
             if gcd(g, M) != 1:
                 continue
             for shifts in product(*(range(1, p) for p in squared)):
-                out.append(_element(N, orbit_alternating_product(M, g, shifts)))
+                out.append(BasisElement(UnitProduct(N, _alternating_pairs(ctx, g, shifts, squared, d)), d))
     return _checked_count(N, out, euler_phi(N) // 2 - 1)
 
 

@@ -5,13 +5,13 @@ units is just a sparse exponent vector over the representative indices
 h = 1, ..., floor(N/2) at a fixed level N.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
+from functools import cached_property, lru_cache
+from math import gcd, prod
 
 from .errors import ConsistencyError
-from .numtheory import b2, divisors, euler_phi, factorize, unit_lead_key
+from .numtheory import b2, crt_pair, divisors, euler_phi, factorize, moebius, unit_lead_key
 
 __all__ = [
     "LevelContext",
@@ -65,7 +65,9 @@ def genus_x1(N: int) -> int:
 @dataclass(frozen=True)
 class LevelContext:
     """Level N with its factorization, cusp numerators, and the tables that
-    every unit product at level N reads.
+    every unit product at level N reads.  Each table is built on its first
+    read, so a level that the basis only scales from builds only its
+    `mobius` table.
 
     `lead_keys[g]` is `unit_lead_key(N, g)` for 1 <= g < N (index 0 is None),
     so the order of g_h at the cusp a/N is lead_keys[a*h % N] / (12N).
@@ -73,13 +75,15 @@ class LevelContext:
     order: entry h (1 <= h <= N/2) is the least index of `orbit(N, h, p)`,
     the class of h under shifts by N/p and sign (Kubert-Lang distribution
     relations); entry 0 is unused.
+    `mobius` holds the pairs (e_k, mu(k)) for the divisors k != N of the
+    unsquared part of N (the product of the primes p || N), in ascending k:
+    e_k is the CRT idempotent, 0 mod k and 1 mod N/k, so the index that is
+    0 mod k and g mod N/k is g * e_k.
     """
 
     N: int
     factorization: tuple[tuple[int, int], ...]
     cusps: tuple[int, ...]
-    lead_keys: tuple[int | None, ...] = field(repr=False, compare=False)
-    orbit_classes: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     @classmethod
     def of(cls, N: int) -> "LevelContext":
@@ -88,6 +92,19 @@ class LevelContext:
     @property
     def num_cusps(self) -> int:
         return len(self.cusps)
+
+    @cached_property
+    def lead_keys(self) -> tuple[int | None, ...]:
+        return (None, *(unit_lead_key(self.N, g) for g in range(1, self.N)))
+
+    @cached_property
+    def orbit_classes(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_orbit_classes(self.N, p) for p, _ in self.factorization)
+
+    @cached_property
+    def mobius(self) -> tuple[tuple[int, int], ...]:
+        N, unsquared = self.N, prod(p for p, e in self.factorization if e == 1)
+        return tuple((crt_pair(0, k, 1, N // k), moebius(k)) for k in divisors(unsquared) if k != N)
 
 
 def _orbit_classes(N: int, p: int) -> tuple[int, ...]:
@@ -103,14 +120,7 @@ def _orbit_classes(N: int, p: int) -> tuple[int, ...]:
 def _level_context(N: int) -> LevelContext:
     if N < 3:
         raise ValueError(f"level must be >= 3, got {N}")
-    factorization = tuple(factorize(N))
-    ctx = LevelContext(
-        N=N,
-        factorization=factorization,
-        cusps=tuple(cusp_list(N)),
-        lead_keys=(None, *(unit_lead_key(N, g) for g in range(1, N))),
-        orbit_classes=tuple(_orbit_classes(N, p) for p, _ in factorization),
-    )
+    ctx = LevelContext(N=N, factorization=tuple(factorize(N)), cusps=tuple(cusp_list(N)))
     if len(ctx.cusps) != euler_phi(N) // 2:
         raise ConsistencyError(f"N={N}: {len(ctx.cusps)} cusps, expected phi(N)/2")
     return ctx

@@ -1,11 +1,18 @@
 import hashlib
+from math import gcd, prod
 
 import pytest
 
 from modunits.basis import basis, mobius_product, orbit_alternating_product
 from modunits.bernoulli import bernoulli_matrix
-from modunits.numtheory import euler_phi, factorize
-from modunits.siegel import divisor, is_gamma1_modular, orbit_condition_holds
+from modunits.numtheory import divisors, euler_phi, factorize, moebius
+from modunits.siegel import (
+    LevelContext,
+    UnitProduct,
+    divisor,
+    is_gamma1_modular,
+    orbit_condition_holds,
+)
 from modunits.zlinalg import lattice_index
 
 
@@ -190,6 +197,30 @@ def test_orbit_condition_for_composite_levels():
             continue  # prime level: condition undefined
         for el in basis(N):
             assert orbit_condition_holds(el.unit), (N, el.display)
+
+
+def test_one_unit_product_per_element_from_the_mobius_table(monkeypatch):
+    for M in range(3, 301):
+        unsquared = prod(p for p, e in factorize(M) if e == 1)
+        table = LevelContext.of(M).mobius
+        # e_k is 0 mod k and 1 mod M/k, so k = gcd(e_k, M)
+        assert [gcd(e, M) for e, _ in table] == [k for k in divisors(unsquared) if k != M], M
+        for e, mu in table:
+            k = gcd(e, M)
+            assert 0 < e < M and e % (M // k) == 1 and mu == moebius(k), (M, e)
+
+    built = []
+    init = UnitProduct.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(UnitProduct, "__init__", counting_init)
+    for N, count in ((72, 11), (243, 80), (900, 119)):
+        built.clear()
+        assert len(basis(N)) == count
+        assert built == [N] * count
 
 
 def test_divisor_matrix_full_rank():
