@@ -9,8 +9,9 @@ table cache results as JSON files keyed by (N, generator, tool version,
 CACHE_REVISION) in --cache-dir or MODUNITS_CACHE_DIR, unless --no-cache.
 A cached record is served only if its invariants multiply to the analytic
 class number (`class_number_yu`) and it is, spelling for spelling, the
-record `build_record` writes from them, with its stored checks, timestamps
-and timings copied in; otherwise it is recomputed and overwritten.  Each
+record `build_record` writes from them, checks included, with its stored
+timestamps and timings copied in; otherwise it is recomputed and
+overwritten.  Each
 level record printed says "cache": "hit" (loaded, with the timings of the
 run that stored it), "miss" (no file: computed by this run) or "stale" (a
 file that failed those checks: recomputed by this run); the label is not
@@ -83,19 +84,25 @@ def _record(N: int, generator: int | None, structure: GroupStructure, elements, 
     }
 
 
-def build_record(N: int, generator: int | None = None) -> dict:
-    """Full machine-readable result for one level (the cacheable unit)."""
-    report = analyze(N, generator)
-    checks = {
-        "yu_vs_lattice": report.h_lattice == report.h_yu,
+def _checks(N: int) -> dict:
+    """The checks block of a level record: what `analyze` required to
+    return at level N, so it is the same for every record of N."""
+    return {
+        # analyze raises ConsistencyError when the two routes disagree
+        "yu_vs_lattice": True,
         # the orbit condition is only checked at composite levels
         "orbit": None if is_prime(N) else True,
         # the q-expansion lead is the divisor key at cusp 1/N, which
         # analyze already required to be a multiple of 12N for every element
         "q_integrality": True,
     }
+
+
+def build_record(N: int, generator: int | None = None) -> dict:
+    """Full machine-readable result for one level (the cacheable unit)."""
+    report = analyze(N, generator)
     timestamps = {"computed_at": _utc_now()}
-    return _record(N, generator, report.structure, report.basis, checks, timestamps, dict(report.timings))
+    return _record(N, generator, report.structure, report.basis, _checks(N), timestamps, dict(report.timings))
 
 
 def _structure(rec) -> GroupStructure:
@@ -106,18 +113,19 @@ def _is_valid_record(rec, N: int, generator: int | None) -> bool:
     """Whether a loaded record is the one `build_record` writes for
     (N, generator, version): its invariants multiply to `class_number_yu(N)`,
     and it equals, under `json.dumps(sort_keys=True)`, the `_record` of those
-    invariants and `basis(N, generator)` with its stored checks, timestamps
-    and timings copied in.  So a missing or extra field, or a value spelled
-    otherwise, fails.  The copied blocks are not checked, and a rewrite of
-    the invariants alone that keeps their product is not caught."""
+    invariants, `basis(N, generator)` and `_checks(N)` with its stored
+    timestamps and timings copied in.  So a missing or extra field, a value
+    spelled otherwise or an edited checks block fails.  The two copied
+    blocks are not checked, and a rewrite of the invariants alone that
+    keeps their product is not caught."""
     try:
         st = _structure(rec)
-        copied = rec["checks"], rec["timestamps"], rec["timings"]
+        copied = rec["timestamps"], rec["timings"]
     except (LookupError, TypeError, ValueError, ArithmeticError):  # ArithmeticError: int(Infinity)
         return False
     if st.order != class_number_yu(N):
         return False
-    want = _record(N, generator, st, basis(N, generator), *copied)
+    want = _record(N, generator, st, basis(N, generator), _checks(N), *copied)
     return json.dumps(rec, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 

@@ -288,6 +288,12 @@ def _without(field):
         # validity check named the fields it read
         *(pytest.param(_without(f), id=f"no-{f}") for f in ("generator", "checks", "timings", "timestamps")),
         pytest.param(lambda rec: dict(rec, note="extra"), id="extra-field"),
+        # the checks block: each edit was served as a hit while it was copied
+        *(
+            pytest.param(lambda rec, k=k, v=v: dict(rec, checks=dict(rec["checks"], **{k: v})), id=f"checks-{k}-{v}")
+            for k, v in (("yu_vs_lattice", False), ("orbit", True), ("orbit", False), ("q_integrality", False))
+        ),
+        pytest.param(lambda rec: dict(rec, checks=dict(rec["checks"], note=True)), id="checks-extra-key"),
     ],
 )
 def test_cache_recomputes_a_consistent_rewrite_as_stale(tmp_path, capsys, rewrite):
