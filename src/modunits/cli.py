@@ -11,12 +11,11 @@ A cached record is served only if its invariants multiply to the analytic
 class number (`class_number_yu`) and it is, spelling for spelling, the
 record `build_record` writes from them, checks included, with its stored
 timestamps and timings copied in; otherwise it is recomputed and
-overwritten.  Each
-level record printed says "cache": "hit" (loaded, with the timings of the
-run that stored it), "miss" (no file: computed by this run) or "stale" (a
-file that failed those checks: recomputed by this run); the label is not
-stored.  A cache directory that cannot be created or written is refused
-before any level is computed.
+overwritten.  Each level record printed says "cache": "hit" (loaded, with
+the timings of the run that stored it), "miss" (no file: computed by this
+run) or "stale" (a file that failed those checks: recomputed by this run);
+the label is not stored.  A cache directory that cannot be created or
+written is refused before any level is computed.
 
 Exit codes: 0 success, 2 invalid arguments (an unusable cache directory
 among them), 3 internal consistency failure or reference-table mismatch.
