@@ -113,7 +113,9 @@ def _mobius_pairs(ctx: LevelContext, g: int, d: int = 1, sign: int = 1) -> list[
     return [(gd * e, sign * mu) for e, mu in ctx.mobius]
 
 
-def _alternating_pairs(ctx: LevelContext, g: int, shifts, squared, d: int = 1) -> list[tuple[int, int]]:
+def _alternating_pairs(
+    ctx: LevelContext, g: int, shifts: tuple[int, ...], squared: list[int], d: int = 1
+) -> list[tuple[int, int]]:
     """The orbit-alternating product at level M = ctx.N, as `_mobius_pairs`
     scaled by d; `squared` are the squared primes of M, one per shift."""
     M = ctx.N
