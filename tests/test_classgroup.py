@@ -504,6 +504,25 @@ def test_class_coordinate_properties(data):
         assert all(abs(x).bit_length() <= h.bit_length() for x in div)
 
 
+def _generators_digest(top: int) -> str:
+    """SHA-256 of repr((N, generators(N))) concatenated over 5 <= N <= top."""
+    h = hashlib.sha256()
+    for N in range(5, top + 1):
+        h.update(repr((N, generators(N))).encode())
+    return h.hexdigest()
+
+
+def test_generators_pinned_by_hash():
+    # the generators read the divisor rows, the solve and the kept block of
+    # the report through `_quotient`, so this pins how a report stores them
+    assert _generators_digest(200) == "f36f4b3a2079ce9e07fb4973691c8a9260298022c56b0fc95cf4787d9342a709"
+
+
+@pytest.mark.extended
+def test_generators_pinned_by_hash_to_300():
+    assert _generators_digest(300) == "4ab615c189dd1eba305fdb4ee66bf3c6d401eb801e03b048bed5543af1d7ecfb"
+
+
 @pytest.mark.parametrize("N", [343, pytest.param(512, marks=pytest.mark.extended)])
 def test_generators_at_large_levels(N):
     # the order and principality checks that perfbench/worker.py makes on
