@@ -141,11 +141,15 @@ class UnitProduct:
         self.level = level
         exps: dict[int, int] = {}
         if exponents:
-            items = exponents.items() if hasattr(exponents, "items") else exponents
-            for g, e in items:
-                h = normalize_index(level, g)
-                exps[h] = exps.get(h, 0) + int(e)
-        self._exps = {h: e for h, e in sorted(exps.items()) if e}
+            # `normalize_index`, inlined: every basis element is built here
+            for g, e in exponents.items() if hasattr(exponents, "items") else exponents:
+                g %= level
+                if 2 * g > level:
+                    g = level - g
+                elif not g:
+                    raise ValueError(f"index 0 is not a valid Siegel-unit index mod {level}")
+                exps[g] = exps.get(g, 0) + e
+        self._exps = {h: int(e) for h, e in sorted(exps.items()) if e}
 
     @property
     def exponents(self) -> dict[int, int]:
