@@ -10,6 +10,7 @@ primary self-check.
 
 import random
 import time
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -75,17 +76,27 @@ class GroupStructure:
 
 @dataclass(frozen=True)
 class ClassGroupReport:
-    """Everything computed for one level, with per-stage timings."""
+    """Everything computed for one level, with per-stage timings.
+
+    `_analyze` caches every report, so a report holds only what the later
+    queries read: the divisor rows, packed as one `array('q')` per basis
+    element, and the elimination state.  It does not hold the basis:
+    `basis` rebuilds it from (N, generator) on each read.
+    """
 
     N: int
+    #: the generator override the basis was built with (None: the default);
+    #: it tells apart the reports of one level built from different bases
+    generator: int | None
     h_lattice: int
     h_yu: int
     structure: GroupStructure
-    basis: tuple[BasisElement, ...]
-    # the divisor rows and the elimination state are derived from the
-    # basis, so they stay out of the repr, the equality and the hash; the
-    # timings differ from run to run, so they stay out of the last two
-    matrix: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    # the divisor rows and the elimination state are derived from
+    # (N, generator), so they stay out of the repr, the equality and the
+    # hash; the timings differ from run to run, so they stay out of the
+    # last two.  `array` raises OverflowError rather than wrap, and every
+    # cusp order at a feasible level fits in int64
+    matrix: tuple[array, ...] = field(repr=False, compare=False)
     timings: tuple[tuple[str, float], ...] = field(compare=False)
     #: (det A, adj(A)*b) of the partial-sum matrix A, rows in basis order,
     #: and b = `_solve_column`; `_analyze` passes `det_solve` the rows in
@@ -99,6 +110,11 @@ class ClassGroupReport:
     @property
     def class_number(self) -> int:
         return self.h_lattice
+
+    @property
+    def basis(self) -> tuple[BasisElement, ...]:
+        """The basis whose divisors are the rows of `matrix`, rebuilt on each read."""
+        return tuple(basis(self.N, self.generator))
 
     @property
     def generators(self) -> list[tuple[list[int], int]]:
@@ -273,11 +289,11 @@ def _analyze(N: int, generator: int | None) -> ClassGroupReport:
 
     return ClassGroupReport(
         N=N,
+        generator=generator,
         h_lattice=h_lat,
         h_yu=h_yu,
         structure=st,
-        basis=elements,
-        matrix=tuple(tuple(r) for r in rows),
+        matrix=tuple(array("q", r) for r in rows),
         timings=tuple(timings),
         solve=(det, tuple(y)),
         kept=(block, pivot_rows, cols) if gcd(h_yu, *y) > 1 else ((), (), ()),
