@@ -158,8 +158,8 @@ def test_report_rebuilds_its_basis_and_packs_its_rows():
 
 
 def test_clearing_the_report_cache_frees_under_1_8_megabytes():
-    # after the 5 <= N <= 100 sweep the reports held 2.3-2.4 MB while they
-    # kept the basis and the rows as tuples of ints, and 1.25-1.3 MB since
+    # the reports of the 5 <= N <= 100 sweep hold about 1.25 MB; with the
+    # basis and the rows as tuples of ints in each report they held 2.3 MB
     classgroup._analyze.cache_clear()
     tracemalloc.start()
     try:
