@@ -10,10 +10,11 @@ with DIR on PYTHONPATH (default: this checkout's src/):
 
 With several --src trees the runs alternate between them, R runs per tree.
 For each tree and sweep the output lists every run's peak RSS of the child
-(ru_maxrss, MB), its wall time, that time at the reference speed of
+(ru_maxrss, MB), its wall time, that time scaled to the reference speed of
 `perfbench/reference.py` (times REFERENCE_S over the mean of two kernel
 samples, one just before and one just after the child) and the SHA-256 of
-its standard output, and the medians of the first three.
+its standard output, and the medians of the peak RSS, the wall time and
+the scaled time.
 """
 
 import argparse
@@ -40,9 +41,9 @@ def run_once(src: str, argv: list[str]) -> dict:
     t0 = time.perf_counter()
     child = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE)
     out = child.stdout.read()
-    _, status, usage = os.wait4(child.pid, 0)
+    _, status, usage = os.wait4(child.pid, 0)  # the child's own rusage
     wall = time.perf_counter() - t0
-    child.returncode = os.waitstatus_to_exitcode(status)
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait again
     after = reference.sample()
     if child.returncode:
         raise SystemExit(f"{argv} under {src} exited {child.returncode}")
