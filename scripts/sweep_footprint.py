@@ -1,4 +1,4 @@
-"""Peak RSS and wall time of two one-process sweeps over 5 <= N <= 300.
+"""Peak RSS and wall time of three one-process sweeps over 5 <= N <= 300.
 
     python3 scripts/sweep_footprint.py [--src DIR ...] [--runs R]
 
@@ -6,7 +6,8 @@ Run it from the repository root.  Each sweep runs in a fresh interpreter
 with DIR on PYTHONPATH (default: this checkout's src/):
 
 - `analyze`: `analyze(N)` for 5 <= N <= 300, one report cache for the sweep;
-- `table`: `python3 -m modunits.cli table 5..300 --no-cache`.
+- `table`: `python3 -m modunits.cli table 5..300 --no-cache`;
+- `table-json`: the same with `--json`.
 
 With several --src trees the runs alternate between them, R runs per tree.
 For each tree and sweep the output lists every run's peak RSS of the child
@@ -32,6 +33,7 @@ import reference  # noqa: E402
 SWEEPS = {
     "analyze": [sys.executable, "-c", "from modunits import analyze\nfor N in range(5, 301):\n    analyze(N)"],
     "table": [sys.executable, "-m", "modunits.cli", "table", "5..300", "--no-cache"],
+    "table-json": [sys.executable, "-m", "modunits.cli", "table", "5..300", "--no-cache", "--json"],
 }
 
 

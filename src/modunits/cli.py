@@ -15,7 +15,9 @@ overwritten.  Each level record printed says "cache": "hit" (loaded, with
 the timings of the run that stored it), "miss" (no file: computed by this
 run) or "stale" (a file that failed those checks: recomputed by this run);
 the label is not stored.  A cache directory that cannot be created or
-written is refused before any level is computed.
+written is refused before any level is computed.  table and primary-table
+print each row as it is computed (--json: one array, streamed), so a failure
+part-way leaves the rows before it on stdout, an array unterminated.
 
 Exit codes: 0 success, 2 invalid arguments (an unusable cache directory
 among them), 3 internal consistency failure or reference-table mismatch.
@@ -234,14 +236,14 @@ def cmd_level(args) -> int:
     return EXIT_OK
 
 
+def _primary_fields(N: int, p: int) -> dict:
+    """The p-primary part at level N as record fields: p, parts and notation."""
+    parts = p_primary(N, p)
+    return {"p": p, "parts": {str(e): m for e, m in parts.items()}, "notation": primary_notation(parts, p)}
+
+
 def cmd_primary(args) -> int:
-    parts = p_primary(args.N, args.p)
-    record = {
-        "n": args.N,
-        "p": args.p,
-        "parts": {str(e): m for e, m in parts.items()},
-        "notation": primary_notation(parts, args.p),
-    }
+    record = {"n": args.N, **_primary_fields(args.N, args.p)}
     _emit(args, record, record["notation"])
     return EXIT_OK
 
@@ -296,77 +298,75 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
+@contextmanager
+def _mapper(jobs: int, count: int):
+    """The `map` of a sweep over count items: a process pool's with jobs > 1
+    and count > 1, else the builtin; both yield in input order."""
+    if jobs < 2 or count < 2:
+        yield map
+        return
+    # imported here: the pool loads multiprocessing, which no other command needs
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
+        yield pool.map
+
+
+def _stream(as_json: bool, records, text):
+    """Print each record as it arrives, then yield it: its `text` line, or an
+    item of one JSON array spelled as `json.dumps(list, sort_keys=True)` spells
+    it.  A failure part-way leaves the rows before it, the array unterminated."""
+    sep = "["
+    for rec in records:
+        if as_json:
+            print(sep + json.dumps(rec, sort_keys=True), end="", flush=True)
+            sep = ", "
+        else:
+            print(text(rec), flush=True)
+        yield rec
+    if as_json:
+        print("[]" if sep == "[" else "]")
+
+
+def _table_line(rec) -> str:
+    return f"{rec['n']:>4} {genus_x1(rec['n']):>6} {rec['class_number']:>28}  {_structure(rec)}"
+
+
 def cmd_table(args) -> int:
     lo, hi = _parse_range(args.range)
     if lo < 5:
         raise ValueError(f"levels start at 5, got {lo}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    levels = list(range(lo, hi + 1))
+    levels = range(lo, hi + 1)
     cache = _cache(args)
-    if args.jobs > 1 and len(levels) > 1:
-        # imported here: the pool loads multiprocessing, which no other
-        # command needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(levels))) as pool:
-            found = pool.map(cached_record, levels, repeat(None), repeat(cache))
-            records = dict(zip(levels, found))
-    else:
-        records = {N: cached_record(N, None, cache) for N in levels}
-
-    if args.json:
-        print(json.dumps([records[N] for N in levels], sort_keys=True))
-    else:
-        print(f"{'N':>4} {'genus':>6} {'class number':>28}  structure")
-        for N in levels:
-            rec = records[N]
-            print(f"{N:>4} {genus_x1(N):>6} {rec['class_number']:>28}  {_structure(rec)}")
-    if not args.check:
-        return EXIT_OK
-
-    known = structures()
-    checked = [N for N in levels if N in known]
+    known = structures() if args.check else {}
     mismatches = []
-    for N in checked:
-        got = [int(x) for x in records[N]["invariants"]]
-        want = list(known[N].invariants)
-        if got != want or int(records[N]["class_number"]) != known[N].class_number:
-            mismatches.append(f"MISMATCH N={N}: computed {got}, reference {want}")
-    return _check_summary(mismatches, len(checked))
+    if not args.json:
+        print(f"{'N':>4} {'genus':>6} {'class number':>28}  structure")
+    with _mapper(args.jobs, len(levels)) as mapper:
+        for rec in _stream(args.json, mapper(cached_record, levels, repeat(None), repeat(cache)), _table_line):
+            ref, got = known.get(rec["n"]), [int(x) for x in rec["invariants"]]
+            if ref is not None and (got != list(ref.invariants) or int(rec["class_number"]) != ref.class_number):
+                mismatches.append(f"MISMATCH N={rec['n']}: computed {got}, reference {list(ref.invariants)}")
+    return _check_summary(mismatches, sum(N in known for N in levels)) if args.check else EXIT_OK
+
+
+def _primary_record(item) -> dict:
+    key, row = item
+    return {"key": key, "level": row.level, **_primary_fields(row.level, row.p)}
 
 
 def cmd_primary_table(args) -> int:
-    rows = []
-    for key, row in sorted(primary_rows().items(), key=lambda kv: kv[1].level):
-        if row.level > args.max:
-            continue
-        parts = p_primary(row.level, row.p)
-        rows.append((key, row, parts))
-    record = [
-        {
-            "key": key,
-            "level": row.level,
-            "p": row.p,
-            "parts": {str(e): m for e, m in parts.items()},
-            "notation": primary_notation(parts, row.p),
-        }
-        for key, row, parts in rows
-    ]
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        for key, row, parts in rows:
-            print(f"{key:>5}  {primary_notation(parts, row.p)}")
-    if not args.check:
-        return EXIT_OK
-    mismatches = [
-        f"MISMATCH {key}: computed {primary_notation(parts, row.p)}, "
-        f"reference {primary_notation(row.parts_dict(), row.p)}"
-        for key, row, parts in rows
-        if parts != row.parts_dict()
-    ]
-    return _check_summary(mismatches, len(rows))
+    reference = primary_rows()
+    rows = sorted((kv for kv in reference.items() if kv[1].level <= args.max), key=lambda kv: kv[1].level)
+    mismatches = []
+    for rec in _stream(args.json, map(_primary_record, rows), lambda rec: f"{rec['key']:>5}  {rec['notation']}"):
+        row = reference[rec["key"]]
+        if rec["parts"] != {str(e): m for e, m in row.parts}:
+            want = primary_notation(row.parts_dict(), row.p)
+            mismatches.append(f"MISMATCH {rec['key']}: computed {rec['notation']}, reference {want}")
+    return _check_summary(mismatches, len(rows)) if args.check else EXIT_OK
 
 
 def cmd_verify(args) -> int:

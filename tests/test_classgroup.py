@@ -294,6 +294,47 @@ def test_a_wrong_pivot_row_fails_the_relation_check(monkeypatch, entry):
         classgroup._analyze.cache_clear()
 
 
+def _reversed_diagonal(smith_transforms_local):
+    def patched(*args):
+        diag, F, G = smith_transforms_local(*args)
+        return diag[::-1], F, G
+
+    return patched
+
+
+#: the consistency checks nearest the north star: the classgroup function a
+#: row corrupts (given the real one), the level, the call that must raise
+#: and the start of its message, which names the level and the check
+CONSISTENCY_CHECKS = {
+    "group order != h": (
+        "smith_invariants_local", lambda real: lambda *args: [2], 11, analyze,
+        "N=11: group order 2 != class number 5",
+    ),
+    "tracked local step != structure": (
+        "smith_transforms_local", _reversed_diagonal, 72, lambda N: analyze(N)._quotient,
+        "N=72: the tracked local Smith elimination disagrees",
+    ),
+    "analytic h not a positive integer": (
+        "yu_prefactor", lambda real: lambda N: real(N) / 2, 13, class_number_yu,
+        "analytic class number for N=13 is not a positive integer: 19/2",
+    ),
+}
+
+
+@pytest.mark.parametrize("check", list(CONSISTENCY_CHECKS))
+def test_a_consistency_check_fires_and_names_the_level(monkeypatch, check):
+    name, corrupt, N, call, message = CONSISTENCY_CHECKS[check]
+    monkeypatch.setattr(classgroup, name, corrupt(getattr(classgroup, name)))
+    classgroup._analyze.cache_clear()
+    class_number_yu.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match=f"^{message}"):
+            call(N)
+    finally:
+        classgroup._analyze.cache_clear()
+        class_number_yu.cache_clear()
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_nonzero_on_a_row_matches_the_dot_products(data):

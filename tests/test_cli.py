@@ -1,13 +1,15 @@
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 
 import pytest
 
-from modunits import __version__, classgroup, cli
+from modunits import ConsistencyError, __version__, classgroup, cli
 from modunits.cli import CACHE_ENV, CACHE_REVISION, Cache, build_record, main
 from modunits.qexpansion import QSeries
 
@@ -126,6 +128,50 @@ def test_table_jobs_gives_the_same_records(capsys):
     serial = records("1")
     assert [rec["n"] for rec in serial] == list(range(5, 31))
     assert records("2") == serial
+
+
+class _Record(dict):
+    """A level record that a weak reference can point at."""
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",), ("--check",)], ids=["text", "json", "check"])
+def test_table_holds_one_record_at_a_time(capsys, monkeypatch, flags):
+    # the loop still holds level k - 1 when level k is requested, but no
+    # earlier record may be alive
+    records, held = {}, []
+
+    def fake_record(N, generator, cache):
+        gc.collect()
+        held.extend(M for M, ref in records.items() if M < N - 1 and ref() is not None)
+        rec = _Record(n=N, class_number="1", invariants=[])
+        records[N] = weakref.ref(rec)
+        return rec
+
+    monkeypatch.setattr(cli, "cached_record", fake_record)
+    run_cli(capsys, "table", "5..12", "--no-cache", *flags)
+    assert sorted(records) == list(range(5, 13))
+    assert held == []
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_a_failing_level_leaves_the_rows_before_it(capsys, monkeypatch, as_json):
+    cached_record, done = cli.cached_record, []
+
+    def fail_at_13(N, generator, cache):
+        if N == 13:
+            raise ConsistencyError(f"N={N}: injected")
+        done.append(cached_record(N, generator, cache))
+        return done[-1]
+
+    monkeypatch.setattr(cli, "cached_record", fail_at_13)
+    code, out, err = run_cli(capsys, "table", "11..15", "--no-cache", *(["--json"] if as_json else []))
+    assert (code, err) == (3, "consistency failure: N=13: injected\n")
+    assert [rec["n"] for rec in done] == [11, 12]
+    if as_json:
+        assert out == "[" + ", ".join(json.dumps(rec, sort_keys=True) for rec in done)
+    else:
+        pinned = PINNED_STDOUT[("table", "5..12")].splitlines(keepends=True)
+        assert out == "".join(pinned[:1] + pinned[-2:])
 
 
 def run_cli_refused(capsys, *argv):
@@ -470,6 +516,7 @@ overall: agree
   5^2  (5)
   3^3  (3)(3^2)
 """,
+    ("primary-table", "--max", "3", "--json"): "[]\n",
     ("verify", "36"): "lattice=31248 analytic=31248 structure=31248 ok\n",
     ("qcheck", "13"): """\
 ok   E1*E4^36/(E2^37)
