@@ -1,4 +1,4 @@
-"""Peak RSS and wall time of three one-process sweeps over 5 <= N <= 300.
+"""Peak RSS and wall time of one-process sweeps: 5 <= N <= 300, and large levels.
 
     python3 scripts/sweep_footprint.py [--src DIR ...] [--runs R]
 
@@ -7,7 +7,10 @@ with DIR on PYTHONPATH (default: this checkout's src/):
 
 - `analyze`: `analyze(N)` for 5 <= N <= 300, one report cache for the sweep;
 - `table`: `python3 -m modunits.cli table 5..300 --no-cache`;
-- `table-json`: the same with `--json`.
+- `table-json`: the same with `--json`;
+- `analyze-N` for N = 343, 512, 625, 729, 972 and 1024: `analyze(N)` alone,
+  printing the class number and the structure, so that the digests of the
+  standard output show whether two trees agree.
 
 With several --src trees the runs alternate between them, R runs per tree.
 For each tree and sweep the output lists every run's peak RSS of the child
@@ -34,6 +37,10 @@ SWEEPS = {
     "analyze": [sys.executable, "-c", "from modunits import analyze\nfor N in range(5, 301):\n    analyze(N)"],
     "table": [sys.executable, "-m", "modunits.cli", "table", "5..300", "--no-cache"],
     "table-json": [sys.executable, "-m", "modunits.cli", "table", "5..300", "--no-cache", "--json"],
+    **{
+        f"analyze-{N}": [sys.executable, "-c", f"from modunits import analyze\nr = analyze({N})\nprint(r.class_number, r.structure)"]
+        for N in (343, 512, 625, 729, 972, 1024)
+    },
 }
 
 

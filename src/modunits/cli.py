@@ -308,8 +308,12 @@ def _mapper(jobs: int, count: int):
     # imported here: the pool loads multiprocessing, which no other command needs
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(jobs, count)) as pool:
+    pool = ProcessPoolExecutor(max_workers=min(jobs, count))
+    try:
         yield pool.map
+    finally:
+        # `map` submitted every item: a reader that stops early drops the rest
+        pool.shutdown(cancel_futures=True)
 
 
 def _stream(as_json: bool, records, text):

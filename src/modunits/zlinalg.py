@@ -1,16 +1,17 @@
 """Exact linear algebra over ZZ and QQ.
 
 Dense row-major matrices are plain lists of lists.  Determinants use
-fraction-free (Bareiss) elimination.  A pass takes two pivots wherever the
-one-step loop would take its second pivot from row k+1: the diagonal entry,
-or one that a column swap brings there (done before the later rows are
-updated; column and row steps commute).  It then takes each later row two
-levels at once with one exact division per entry,
-a[i][j] <- (p2*a[i][j] - x*a'[j] + c*a[k][j]) / prev (Bareiss's two-step
-update; `_bareiss` defines the terms).  By Sylvester's identity
-the entries are the same minors as in the one-step loop, so every output
-is the same too.  `det_solve` runs the same elimination on the matrix
-extended by one column b and also returns adj(m)*b.  Given a number
+fraction-free (Bareiss) elimination.  A pass takes up to three pivots, each
+where the one-step loop would take it from the next row: the diagonal
+entry, or one that a column swap brings there (done before the later rows
+are updated; column and row steps commute).  It then takes each later row
+t levels at once with one exact division per entry,
+a[i][j] <- (p_t*a[i][j] - sum_m v[m]*a'[k+m][j]) / prev (Bareiss's multistep
+update; `_bareiss` defines the terms and the division count that decides
+when a third pivot pays).  By Sylvester's identity the entries are the same
+minors as in the one-step loop, so every output is the same too.
+`det_solve` runs the same elimination on the matrix extended by one column
+b and also returns adj(m)*b.  Given a number
 `avoid`, that one elimination takes pivots coprime to it while it can
 (along the row, else down the column), and at the first step where it
 cannot it keeps the trailing block: at every prime of `avoid` the block has
@@ -75,6 +76,16 @@ def _swap_columns(rows, cols: list[int], k: int, j: int) -> None:
     cols[k], cols[j] = cols[j], cols[k]
 
 
+def _adjugate(p0, p1, p2, prev: int) -> tuple[int, ...]:
+    """adj(p)/prev, row after row, for the 3 x 3 block p with rows p0, p1, p2:
+    exact when p is a block of the Bareiss level after the pivot prev, whose
+    2 x 2 minors are prev times minors of the input (Sylvester's identity)."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = p0, p1, p2
+    return ((b1 * c2 - b2 * c1) // prev, (a2 * c1 - a1 * c2) // prev, (a1 * b2 - a2 * b1) // prev,
+            (b2 * c0 - b0 * c2) // prev, (a0 * c2 - a2 * c0) // prev, (a2 * b0 - a0 * b2) // prev,
+            (b0 * c1 - b1 * c0) // prev, (a1 * c0 - a0 * c1) // prev, (a0 * b1 - a1 * b0) // prev)
+
+
 def _bareiss(a: IntMatrix, avoid: int = 1) -> tuple[int, list[int], IntMatrix]:
     """Fraction-free forward elimination of the n x m matrix a (m >= n), in
     place; returns (d, cols, block), where d is the determinant of the
@@ -97,30 +108,38 @@ def _bareiss(a: IntMatrix, avoid: int = 1) -> tuple[int, list[int], IntMatrix]:
     rational combination of the input rows, and a[i][i] is the leading
     (i+1) x (i+1) minor of the row- and column-swapped input.
 
-    A pass takes two pivots where it can (Bareiss's two-step elimination,
+    A pass takes up to three pivots (Bareiss's multistep elimination,
     Math. Comp. 22 (1968)).  With p1 = a[k][k] and prev the pivot before
     it, row k+1 first takes the one-step update
     a[k+1][j] <- (p1*a[k+1][j] - a[k+1][k]*a[k][j]) / prev.  If its diagonal
     p2 is nonzero, and coprime to `avoid` or a block is kept, step k+1
     would take it as its pivot with no swap.  If p2 is nonzero but not
     coprime to `avoid` and no block is kept, step k+1 would swap in the
-    first column j, k+1 < j < n, where row k+1 has an entry coprime to
-    `avoid`; the pass swaps it now, in every row and in a' below, and p2
+    first column j > k+1 where row k+1 has an entry coprime to `avoid`; the
+    pass swaps it now, in every row and in the saved rows a', and p2
     becomes that entry.  Step k updates columns j and k+1 alike, so the
-    swap commutes with it.  In both cases the two steps fuse: with a' the
-    row k+1 before its update, every row i > k+1 goes at once to
+    swap commutes with it.  In both cases the pass takes p2, and row k+2
+    takes the two-step update below; its diagonal p3 is then taken, or
+    swapped in, the same way.  With t the pivots taken, p_t the last, P
+    the t x t block a[k:k+t][k:k+t] and a' the rows k..k+t-1 as they stood
+    before the pass, every later row i goes at once to
 
-        x = (a[i][k+1]*p1 - a[i][k]*a[k][k+1]) / prev
-        c = (a[i][k+1]*a'[k] - a[i][k]*a'[k+1]) / prev
-        a[i][j] <- (p2*a[i][j] - x*a'[j] + c*a[k][j]) / prev,  j > k+1,
+        v = a[i][k:k+t] * adj(P) / prev^(t-1)
+        a[i][j] <- (p_t*a[i][j] - sum_m v[m]*a'[k+m][j]) / prev,  j >= k+t.
 
-    three products and one exact division per entry for two pivots where
-    one-step updates take four and two.  Both give the same minors, so a,
-    d, cols and block are those of the one-step loop.  Otherwise rows
-    i > k+1 take the one-step update and the next pass is step k+1: where
-    p2 = 0, as the one-step loop first returns 0 if column k+1 is 0 from
-    row k+1 down, and a swap would change cols on that singular input; and
-    where row k+1 has no entry coprime to `avoid`, as step k+1 then swaps
+    So v = (a[i][k]) for t = 1, and v = (-c, x) for t = 2, with
+    x = (a[i][k+1]*p1 - a[i][k]*a[k][k+1]) / prev and
+    c = (a[i][k+1]*a'[k+1][k] - a[i][k]*a'[k+1][k+1]) / prev; for t = 3 the
+    pass finds adj(P)/prev once, with nine exact divisions.  Each v[m] and
+    each new entry is a minor (Sylvester's identity), as in the one-step
+    loop, so a, d, cols and block are too; an entry takes t+1 products and
+    one exact division for t levels where one-step updates take 2t and t.
+    With R rows below row k+2 and W = m - k, a third pivot costs 9 + R*W
+    divisions against R*W + R*(W-3) for a pair pass and a single step, so
+    the pass takes it only where R*(W-3) > 9.  A pass stops at a
+    zero diagonal, as the one-step loop first returns 0 if that column is 0
+    from there down, and a swap would change cols on that singular input;
+    and at a row with no entry coprime to `avoid`, as that step then swaps
     a row in or keeps the block.
     """
     n = len(a)
@@ -150,31 +169,48 @@ def _bareiss(a: IntMatrix, avoid: int = 1) -> tuple[int, list[int], IntMatrix]:
             break
         pivot, row_k = a[k][k], a[k]
         ahead = a[k + 1][:]  # row k+1 before its own update
-        pair = False
+        saved = [ahead]  # and row k+2 before its own, in a pair pass
+        width = len(row_k)
+        t, top = 1, pivot  # the pivots this pass takes, the last of them
         for i in range(k + 1, n):
             row_i = a[i]
-            aik = row_i[k]
-            if pair:
-                x = (row_i[k + 1] * pivot - aik * row_k[k + 1]) // prev
-                c = (row_i[k + 1] * ahead[k] - aik * ahead[k + 1]) // prev
-                for j in range(k + 2, len(row_i)):
-                    row_i[j] = (p2 * row_i[j] - x * ahead[j] + c * row_k[j]) // prev
+            r0 = row_i[k]
+            if t == 1:
+                for j in range(k + 1, width):
+                    row_i[j] = (top * row_i[j] - r0 * row_k[j]) // prev
+            elif t == 2:
+                if i == k + 2:
+                    saved.append(row_i[:])
+                r1 = row_i[k + 1]
+                x = (r1 * pivot - r0 * row_k[k + 1]) // prev
+                c = (r1 * ahead[k] - r0 * ahead[k + 1]) // prev
+                for j in range(k + 2, width):
+                    row_i[j] = (top * row_i[j] - x * ahead[j] + c * row_k[j]) // prev
                 row_i[k + 1] = 0
             else:
-                for j in range(k + 1, len(row_i)):
-                    row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
+                r1, r2 = row_i[k + 1], row_i[k + 2]
+                v0 = (r0 * q00 + r1 * q10 + r2 * q20) // prev
+                v1 = (r0 * q01 + r1 * q11 + r2 * q21) // prev
+                v2 = (r0 * q02 + r1 * q12 + r2 * q22) // prev
+                for j in range(k + 3, width):
+                    row_i[j] = (top * row_i[j] - v0 * row_k[j] - v1 * ahead[j] - v2 * behind[j]) // prev
+                row_i[k + 1] = row_i[k + 2] = 0
             row_i[k] = 0
-            if i == k + 1:
-                # step k+1 needs no pivot search, or finds its pivot along
-                # row k+1: fuse it with step k
-                p2 = row_i[k + 1]
-                if block is None and p2 and not _unit(p2, avoid):
-                    j = next((j for j in range(k + 2, n) if _unit(row_i[j], avoid)), None)
+            if i == k + t < k + 3 and (t == 1 or (n - i - 1) * (width - i - 1) > 9):
+                # step i needs no pivot search, or finds its pivot along row
+                # i: fuse it with this pass (a third only if it saves divisions)
+                p = row_i[i]
+                if block is None and p and not _unit(p, avoid):
+                    j = next((j for j in range(i + 1, n) if _unit(row_i[j], avoid)), None)
                     if j is not None:
-                        _swap_columns([*a, ahead], cols, k + 1, j)
-                        sign, p2 = -sign, row_i[k + 1]
-                pair = p2 != 0 and (block is not None or _unit(p2, avoid))
-        prev, k = (p2, k + 2) if pair else (pivot, k + 1)
+                        _swap_columns([*a, *saved], cols, i, j)
+                        sign, p = -sign, row_i[i]
+                if p and (block is not None or _unit(p, avoid)):
+                    t, top = t + 1, p
+                    if t == 3:
+                        behind = saved[1]
+                        q00, q01, q02, q10, q11, q12, q20, q21, q22 = _adjugate(row_k[k:k + 3], ahead[k:k + 3], behind[k:k + 3], prev)
+        prev, k = top, k + t
     return sign * a[n - 1][n - 1], cols, block or []
 
 

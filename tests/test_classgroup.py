@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib
 import random
 import tracemalloc
 from array import array
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modunits import classgroup, zlinalg
+from modunits import classgroup, qexpansion, zlinalg
 from modunits.basis import BasisElement, basis
 from modunits.bernoulli import bernoulli_matrix
 from modunits.classgroup import (
@@ -36,6 +37,8 @@ from modunits.corpus import mixed_primary_rows
 from modunits.numtheory import euler_phi, factorize, order_in_units_mod_pm1
 from modunits.siegel import LevelContext, UnitProduct, normalize_index
 from modunits.zlinalg import det, hnf_pivots, lattice_index, mat_mul, snf
+
+basis_module = importlib.import_module("modunits.basis")  # the package's `basis` is the function
 
 
 def _order_of(N, div):
@@ -302,29 +305,39 @@ def _reversed_diagonal(smith_transforms_local):
     return patched
 
 
-#: the consistency checks nearest the north star: the classgroup function a
-#: row corrupts (given the real one), the level, the call that must raise
-#: and the start of its message, which names the level and the check
+#: the consistency checks nearest the north star, the one check that can
+#: fail `qcheck` and the basis count: the module and function a row
+#: corrupts (given the real one), the level, the call that must raise and
+#: the start of its message, which names the level or the unit and the check
 CONSISTENCY_CHECKS = {
     "group order != h": (
-        "smith_invariants_local", lambda real: lambda *args: [2], 11, analyze,
+        classgroup, "smith_invariants_local", lambda real: lambda *args: [2], 11, analyze,
         "N=11: group order 2 != class number 5",
     ),
     "tracked local step != structure": (
-        "smith_transforms_local", _reversed_diagonal, 72, lambda N: analyze(N)._quotient,
+        classgroup, "smith_transforms_local", _reversed_diagonal, 72, lambda N: analyze(N)._quotient,
         "N=72: the tracked local Smith elimination disagrees",
     ),
     "analytic h not a positive integer": (
-        "yu_prefactor", lambda real: lambda N: real(N) / 2, 13, class_number_yu,
+        classgroup, "yu_prefactor", lambda real: lambda N: real(N) / 2, 13, class_number_yu,
         "analytic class number for N=13 is not a positive integer: 19/2",
+    ),
+    "inexact division in the q-expansion recurrence": (
+        qexpansion, "mul", lambda real: lambda x, y: real(x, y) + 1, 13,
+        lambda N: qexpansion.expand_product(UnitProduct(N, {1: 1, 2: -1})),
+        r"inexact division by 2 expanding UnitProduct\(13, \{1: 1, 2: -1\}\)",
+    ),
+    "basis element count": (
+        basis_module, "euler_phi", lambda real: lambda n: real(n) + 2, 15, basis,
+        "N=15: 3 basis elements, expected 4",
     ),
 }
 
 
 @pytest.mark.parametrize("check", list(CONSISTENCY_CHECKS))
 def test_a_consistency_check_fires_and_names_the_level(monkeypatch, check):
-    name, corrupt, N, call, message = CONSISTENCY_CHECKS[check]
-    monkeypatch.setattr(classgroup, name, corrupt(getattr(classgroup, name)))
+    module, name, corrupt, N, call, message = CONSISTENCY_CHECKS[check]
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
     classgroup._analyze.cache_clear()
     class_number_yu.cache_clear()
     try:

@@ -4,8 +4,10 @@ import os
 import random
 import subprocess
 import sys
+import time
 import weakref
 from dataclasses import replace
+from itertools import repeat
 
 import pytest
 
@@ -128,6 +130,27 @@ def test_table_jobs_gives_the_same_records(capsys):
     serial = records("1")
     assert [rec["n"] for rec in serial] == list(range(5, 31))
     assert records("2") == serial
+
+
+def _mark_and_sleep(directory, n):
+    # one pool item of the test below: a marker file per level, then a wait
+    with open(os.path.join(directory, f"N{n}"), "w"):
+        pass
+    time.sleep(0.2)
+    return n
+
+
+def test_mapper_drops_the_pending_levels_when_the_reader_stops(tmp_path):
+    # 40 levels of 0.2 s on two workers take 4 s; a reader that takes two
+    # results and leaves waits only for the few levels the pool has already
+    # started or queued for its workers
+    start = time.perf_counter()
+    with cli._mapper(2, 40) as mapper:
+        results = mapper(_mark_and_sleep, repeat(str(tmp_path)), range(40))
+        assert [next(results), next(results)] == [0, 1]
+    elapsed = time.perf_counter() - start
+    assert len(os.listdir(tmp_path)) < 10
+    assert elapsed < 2.0
 
 
 class _Record(dict):

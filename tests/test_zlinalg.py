@@ -353,8 +353,8 @@ def test_det_solve_pinned_on_the_pipeline_matrices():
 
 def _one_step_bareiss(a, avoid=1):
     # the one-step Bareiss loop, one level per step for every row below the
-    # pivot: the reference that `zlinalg._bareiss`, which fuses pairs of
-    # steps, must match entry for entry
+    # pivot: the reference that `zlinalg._bareiss`, which fuses up to three
+    # steps a pass, must match entry for entry
     n = len(a)
     sign = 1
     prev = 1
@@ -397,8 +397,9 @@ def bareiss_inputs(draw):
     # square or n x (n+1), rows scaled so that pivots share factors with
     # avoid, and one row in three a multiple of another (a singular block).
     # The entries come from a seeded random: lists of drawn integers repeat
-    # values so often that most large matrices come out singular
-    n = draw(st.integers(1, 7))
+    # values so often that most large matrices come out singular.  Up to
+    # n = 10, so that many passes take a third pivot: below n = 6 none can
+    n = draw(st.integers(1, 10))
     width = n + draw(st.integers(0, 1))
     rng = draw(st.randoms(use_true_random=False))
     scale = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 12]), min_size=n, max_size=n))
@@ -461,7 +462,8 @@ def test_bareiss_second_pivot_zero_is_a_single_step():
 
 
 class _Counted(int):
-    # sums, differences and products stay _Counted; floor divisions count
+    # sums, differences and products stay _Counted, with a plain int on
+    # either side (sum() starts from 0); floor divisions count
     divisions = 0
 
     def __add__(self, other):
@@ -470,8 +472,13 @@ class _Counted(int):
     def __sub__(self, other):
         return _Counted(int(self) - other)
 
+    def __rsub__(self, other):
+        return _Counted(other - int(self))
+
     def __mul__(self, other):
         return _Counted(int(self) * other)
+
+    __radd__, __rmul__ = __add__, __mul__
 
     def __floordiv__(self, other):
         _Counted.divisions += 1
@@ -502,15 +509,83 @@ def test_bareiss_fuses_pairs_after_a_kept_block():
 
 
 def test_bareiss_fuses_every_pass_at_level_127():
-    # pivots coprime to h on the 62 x 63 system of `analyze(127)`: 19 of
-    # the 31 second pivots share a factor with h and take a column along
-    # their row, and every pass fuses two steps.  Fusing only where the
-    # second pivot is the diagonal took 15 pairs and 32 single passes,
-    # 67 651 divisions
+    # pivots coprime to h on the 62 x 63 system of `analyze(127)`: all 21
+    # passes take a second pivot and 19 a third; 12 second and 15 third
+    # pivots share a factor with h and take a column along their row.  The
+    # last two passes are pairs: R*(W-3) = 6 and 0, not over 9, so a third
+    # pivot would save no division.  Pairs only took 31 passes and 41 602
+    # divisions; fusing only where the second pivot is the diagonal, 15
+    # pairs and 32 single passes, 67 651
     m, b, h = _pipeline_solve_input(127)
     a = [row + [x] for row, x in zip(m, b)]
-    assert _divisions(zlinalg._bareiss, a, h) == 41_602
+    assert _divisions(zlinalg._bareiss, a, h) == 28_568
     assert _divisions(_one_step_bareiss, a, h) == 79_422
+
+
+def test_bareiss_takes_three_pivots_in_every_pass():
+    # avoid = 1, 7 x 16: passes 0-2 and 3-5 each take three pivots, and
+    # step 6 is the last.  The second pass has one row below row 5, so it
+    # takes the third pivot only because the row is wide: 16 - 3 - 3 > 9.
+    # Its adj(P)/prev and v divide exactly by prev = 2
+    m = [
+        [-1, 0, 1, -1, -1, 0, -1, 1, 0, -1, -1, 0, 0, 0, -1, 1],
+        [0, 1, -1, -1, 0, 1, 0, 1, 1, 1, -1, 1, 0, 0, 0, 1],
+        [-1, 0, -1, 1, -1, 0, 1, -1, -1, 1, -1, 0, 0, 0, 0, 0],
+        [-1, 0, 0, 1, -1, -1, -1, 1, 0, -1, 1, -1, 1, 1, -1, 1],
+        [0, -1, 0, 0, 1, 0, 1, -1, 0, -1, -1, 0, 1, 1, 0, 0],
+        [1, 0, -1, 0, -1, -1, 1, -1, -1, -1, -1, 1, -1, 0, -1, 0],
+        [0, 1, 1, 0, -1, -1, 0, 1, 1, 0, 1, 0, -1, -1, 1, -1],
+    ]
+    eliminated = [
+        [-1, 0, 1, -1, -1, 0, -1, 1, 0, -1, -1, 0, 0, 0, -1, 1],
+        [0, -1, 1, 1, 0, -1, 0, -1, -1, -1, 1, -1, 0, 0, 0, -1],
+        [0, 0, 2, -2, 0, 0, -2, 2, 1, -2, 0, 0, 0, 0, -1, 1],
+        [0, 0, 0, 2, 0, -2, -2, 2, 1, -2, 4, -2, 2, 2, -1, 1],
+        [0, 0, 0, 0, 2, -2, -4, 6, 5, -6, 4, -2, 6, 6, -3, 5],
+        [0, 0, 0, 0, 0, -8, -10, 14, 9, -18, 8, -4, 12, 14, -11, 13],
+        [0, 0, 0, 0, 0, 0, -24, 16, 0, -8, 16, -8, 8, 8, -16, 16],
+    ]
+    _pinned_bareiss(m, 1, (-24, list(range(7)), []), eliminated)
+    assert _divisions(zlinalg._bareiss, m, 1) == 151 < _divisions(_one_step_bareiss, m, 1) == 280
+
+
+def test_bareiss_third_pivot_sharing_a_factor_fuses_after_a_column_swap():
+    # avoid = 2: in pass 0 the second pivot -1 is the diagonal, but the
+    # third diagonal is even; row 2 has its first odd entry in column 4,
+    # which the pass swaps in (in the saved rows 1 and 2 too), as step 2
+    # of the one-step loop would.  Pass 3 is a pair with a column swap
+    m = [[-1, 2, 2, -1, 1, 1, -2], [0, 1, 2, 1, -1, -2, -2], [1, -1, 2, 2, 1, -1, -2], [1, 2, -1, 0, 2, 2, -1], [1, 2, -1, -2, 2, 1, 1], [0, 2, 2, -1, 1, -1, -2]]
+    eliminated = [[-1, 2, 1, -1, 1, 2, -2], [0, -1, 1, -1, 2, -2, 2], [0, 0, -3, 0, -2, -2, 2], [0, 0, 0, 15, -19, 35, -29], [0, 0, 0, 0, -53, 70, -28], [0, 0, 0, 0, 0, 37, 17]]
+    _pinned_bareiss(m, 2, (37, [0, 1, 4, 3, 5, 2], []), eliminated)
+    assert _divisions(zlinalg._bareiss, m, 2) == 50 < _divisions(_one_step_bareiss, m, 2) == 70
+
+
+def test_bareiss_third_pivot_zero_is_a_pair():
+    # avoid = 1: after pass 0's two steps a[2][2] = 0, so rows 3-5 take the
+    # two-step update; pass 2 then swaps column 3 in, as step 2 of the
+    # one-step loop would
+    m = [[2, 1, 0, -1, 1, 2, 0], [2, -2, 0, -2, -1, -2, -2], [2, -2, 0, 2, -1, -2, 2], [-1, 0, -1, -1, -2, 1, -2], [-2, 0, 0, -1, -1, -2, -2], [-2, -2, -2, -2, -2, 0, 0]]
+    eliminated = [[2, 1, -1, 0, 1, 2, 0], [0, -6, -2, 0, -4, -8, -4], [0, 0, -24, 0, 0, 0, -24], [0, 0, 0, 24, 44, -32, 16], [0, 0, 0, 0, -16, -32, -8], [0, 0, 0, 0, 0, 96, -48]]
+    _pinned_bareiss(m, 1, (-96, [0, 1, 3, 2, 4, 5], []), eliminated)
+    assert _divisions(zlinalg._bareiss, m, 1) == 50 < _divisions(_one_step_bareiss, m, 1) == 70
+
+
+def test_bareiss_takes_three_pivots_after_a_kept_block():
+    # avoid = 2: row 0 and column 0 are even, so step 0 keeps the whole
+    # matrix; pass 0 then takes the even pivots -4, -16 and -16, and
+    # passes 3 and 5 are pairs
+    m = [[-4, -4, -4, 0, -2, 0, 0, 4], [-2, 2, -2, 2, -1, 1, 1, 2], [0, 2, 1, 2, 0, -2, -2, 0], [2, 0, 1, 1, 2, -1, 2, -1], [-2, -1, -2, -1, 0, -1, -1, 2], [4, 0, 2, 2, -1, 1, 1, 2], [0, 2, 0, 0, 1, -1, 1, 1]]
+    eliminated = [
+        [-4, -4, -4, 0, -2, 0, 0, 4],
+        [0, -16, 0, -8, 0, -4, -4, 0],
+        [0, 0, -16, -16, 0, 40, 40, 0],
+        [0, 0, 0, -48, -16, 48, 0, -16],
+        [0, 0, 0, 0, -72, 132, 60, -24],
+        [0, 0, 0, 0, 0, 444, 516, -408],
+        [0, 0, 0, 0, 0, 0, 744, 372],
+    ]
+    _pinned_bareiss(m, 2, (744, list(range(7)), [row[:7] for row in m]), eliminated)
+    assert _divisions(zlinalg._bareiss, m, 2) == 72 < _divisions(_one_step_bareiss, m, 2) == 112
 
 
 def test_bareiss_last_pair():
