@@ -6,8 +6,8 @@ prime-power level (primes, odd prime powers and powers of two) and one
 every composite level.
 Each element is one `UnitProduct` at level N, built from the (index,
 exponent) pairs of its factors: an index h at level M | N is h*d at N with
-d = N/M, and the Moebius products read the CRT idempotents of M from
-`LevelContext.mobius`, so no intermediate product is formed.
+d = N/M; the composite levels' Moebius and orbit-alternating products are
+only such pairs, so no intermediate product is formed.
 An element stores only its level-N unit and the scale d of the level M it
 comes from; its level-M exponents, shown by the display and the
 machine-readable form, are derived from that unit (h*d at N is h at M).
@@ -28,12 +28,7 @@ from .numtheory import (
 )
 from .siegel import LevelContext, UnitProduct, normalize_index, render_product
 
-__all__ = [
-    "BasisElement",
-    "basis",
-    "mobius_product",
-    "orbit_alternating_product",
-]
+__all__ = ["BasisElement", "basis"]
 
 
 @dataclass(frozen=True)
@@ -104,51 +99,29 @@ def _prime_power_basis(p: int, k: int, generator: int | None) -> list[BasisEleme
     return _checked_count(N, out, phi[k] - 1)
 
 
-def _mobius_pairs(ctx: LevelContext, g: int, d: int = 1, sign: int = 1) -> list[tuple[int, int]]:
+def _mobius_pairs(ctx: LevelContext, g: int, d: int, sign: int = 1) -> list[tuple[int, int]]:
     """The Moebius product F_g^sign at level M = ctx.N, as the pairs of its
-    indices scaled by d (h at M is h*d at level M*d) with their exponents."""
-    if gcd(g, ctx.N) != 1:
-        raise ValueError(f"index {g} is not coprime to {ctx.N}")
+    indices scaled by d (h at M is h*d at level M*d) with their exponents:
+    F_g = prod E_{g*e_k}^mu(k) over the divisors k != M of the unsquared
+    part of M, with e_k the CRT idempotent of `LevelContext.mobius` (g*e_k
+    is 0 mod k and g mod M/k), isolates the coprime index class of g."""
     gd = g * d
     return [(gd * e, sign * mu) for e, mu in ctx.mobius]
 
 
 def _alternating_pairs(
-    ctx: LevelContext, g: int, shifts: tuple[int, ...], squared: list[int], d: int = 1
+    ctx: LevelContext, g: int, shifts: tuple[int, ...], squared: list[int], d: int
 ) -> list[tuple[int, int]]:
     """The orbit-alternating product at level M = ctx.N, as `_mobius_pairs`
-    scaled by d; `squared` are the squared primes of M, one per shift."""
+    scaled by d: the product over (n_1..n_l) in {0,1}^l of
+    F_{g + sum n_i m_i M/p_i}^((-1)^sum n_i), for the squared primes
+    p_1 < ... < p_l of M (`squared`) and the shifts m_i."""
     M = ctx.N
     pairs = []
     for choice in product((0, 1), repeat=len(squared)):
         h = g + sum(n * m * (M // p) for n, m, p in zip(choice, shifts, squared))
         pairs += _mobius_pairs(ctx, h, d, -1 if sum(choice) % 2 else 1)
     return pairs
-
-
-def mobius_product(M: int, g: int) -> UnitProduct:
-    """Moebius-weighted product isolating the coprime index class of g.
-
-    The product over squarefree-compatible divisors k of the unsquared part
-    of M (k != M) of E_{g(k)}^mu(k), where g(k) = g * e_k is 0 mod k and
-    g mod M/k (e_k from `LevelContext.mobius`).  For squarefree M this runs
-    over all proper divisors.
-    """
-    return UnitProduct(M, _mobius_pairs(LevelContext.of(M), g))
-
-
-def orbit_alternating_product(M: int, g: int, shifts: tuple[int, ...]) -> UnitProduct:
-    """Inclusion-exclusion over orbit translates at the squared primes of M.
-
-    For squared primes p_1 < ... < p_l of M and shift amounts m_i, the
-    product over (n_1..n_l) in {0,1}^l of F_{g + sum n_i m_i M/p_i}^((-1)^sum n_i),
-    with F the Moebius product.
-    """
-    ctx = LevelContext.of(M)
-    squared = [p for p, e in ctx.factorization if e >= 2]
-    if len(shifts) != len(squared):
-        raise ValueError(f"expected {len(squared)} shifts for M={M}, got {len(shifts)}")
-    return UnitProduct(M, _alternating_pairs(ctx, g, shifts, squared))
 
 
 def _composite_basis(N: int) -> list[BasisElement]:

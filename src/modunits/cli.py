@@ -20,7 +20,8 @@ print each row as it is computed (--json: one array, streamed), so a failure
 part-way leaves the rows before it on stdout, an array unterminated.
 
 Exit codes: 0 success, 2 invalid arguments (an unusable cache directory
-among them), 3 internal consistency failure or reference-table mismatch.
+among them), 3 internal consistency failure (a degenerate basis, of lattice
+index 0, among them) or reference-table mismatch.
 """
 
 import argparse

@@ -3,7 +3,7 @@ from math import gcd, prod
 
 import pytest
 
-from modunits.basis import basis, mobius_product, orbit_alternating_product
+from modunits.basis import _alternating_pairs, _mobius_pairs, basis
 from modunits.bernoulli import bernoulli_matrix
 from modunits.numtheory import divisors, euler_phi, factorize, moebius
 from modunits.siegel import (
@@ -110,7 +110,7 @@ def test_two_power_16():
 
 def test_squarefree_21():
     els = basis(21)
-    assert mobius_product(21, 1).exponents == {1: 1, 6: -1, 7: -1}
+    assert UnitProduct(21, _mobius_pairs(LevelContext.of(21), 1, 1)).exponents == {1: 1, 6: -1, 7: -1}
     assert [e.display for e in els] == [
         "E1*E9/(E2*E6)",
         "E2*E3/(E4*E9)",
@@ -121,11 +121,10 @@ def test_squarefree_21():
 
 
 def test_squarefree_42_mobius_products():
-    assert mobius_product(42, 1).exponents == {1: 1, 6: 1, 14: 1, 21: 1, 20: -1, 15: -1, 7: -1}
+    exps = UnitProduct(42, _mobius_pairs(LevelContext.of(42), 1, 1)).exponents
+    assert exps == {1: 1, 6: 1, 14: 1, 21: 1, 20: -1, 15: -1, 7: -1}
     els = basis(42)
     assert len(els) == 5
-    with pytest.raises(ValueError, match="not coprime"):
-        mobius_product(42, 7)
 
 
 def test_general_36():
@@ -166,10 +165,8 @@ def test_general_72():
 
 def test_alternating_product_level_180():
     # G at level 180 with shifts (1, 2): E1 E31 E55 E85 / (E91 E59 E35 E5)
-    exps = orbit_alternating_product(180, 1, (1, 2)).exponents
+    exps = UnitProduct(180, _alternating_pairs(LevelContext.of(180), 1, (1, 2), [2, 3], 1)).exponents
     assert exps == {1: 1, 31: 1, 55: 1, 85: 1, 89: -1, 59: -1, 35: -1, 5: -1}
-    with pytest.raises(ValueError, match="expected 2 shifts"):
-        orbit_alternating_product(180, 1, (1,))
 
 
 def test_dispatch_and_counts():

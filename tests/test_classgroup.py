@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import importlib
@@ -6,12 +7,13 @@ import tracemalloc
 from array import array
 from fractions import Fraction
 from math import gcd, lcm, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modunits import classgroup, qexpansion, zlinalg
+from modunits import bernoulli, classgroup, qexpansion, siegel, zlinalg
 from modunits.basis import BasisElement, basis
 from modunits.bernoulli import bernoulli_matrix
 from modunits.classgroup import (
@@ -297,55 +299,200 @@ def test_a_wrong_pivot_row_fails_the_relation_check(monkeypatch, entry):
         classgroup._analyze.cache_clear()
 
 
-def _reversed_diagonal(smith_transforms_local):
-    def patched(*args):
-        diag, F, G = smith_transforms_local(*args)
-        return diag[::-1], F, G
+def _spoiling(i, spoil):
+    """A corruption that passes item i of the real function's result through spoil."""
 
-    return patched
+    def corrupt(real):
+        def patched(*args):
+            out = list(real(*args))
+            out[i] = spoil(out[i])
+            return tuple(out)
+
+        return patched
+
+    return corrupt
 
 
-#: the consistency checks nearest the north star, the one check that can
-#: fail `qcheck` and the basis count: the module and function a row
-#: corrupts (given the real one), the level, the call that must raise and
-#: the start of its message, which names the level or the unit and the check
+def _rows_of(N, exponents):
+    """`_divisor_rows` on the one element whose unit has these exponents at N."""
+    return classgroup._divisor_rows(N, (_bare_element(UnitProduct(N, exponents)),))
+
+
+#: one row per `raise ConsistencyError` in src/modunits: the site, as its
+#: module and a literal fragment of its message; the corruption, as the
+#: module and function it replaces and the replacement given the real one
+#: (None: the call's input is the corruption); the call that must raise;
+#: and the start of the message, a regex that names the level, the unit or
+#: the polynomial and the check
 CONSISTENCY_CHECKS = {
     "group order != h": (
-        classgroup, "smith_invariants_local", lambda real: lambda *args: [2], 11, analyze,
+        ("classgroup", "group order"),
+        (classgroup, "smith_invariants_local", lambda real: lambda *args: [2]),
+        lambda: analyze(11),
         "N=11: group order 2 != class number 5",
     ),
     "tracked local step != structure": (
-        classgroup, "smith_transforms_local", _reversed_diagonal, 72, lambda N: analyze(N)._quotient,
+        ("classgroup", "tracked local Smith elimination disagrees"),
+        (classgroup, "smith_transforms_local", _spoiling(0, lambda diag: diag[::-1])),
+        lambda: analyze(72)._quotient,
         "N=72: the tracked local Smith elimination disagrees",
     ),
     "analytic h not a positive integer": (
-        classgroup, "yu_prefactor", lambda real: lambda N: real(N) / 2, 13, class_number_yu,
+        ("classgroup", "is not a positive integer"),
+        (classgroup, "yu_prefactor", lambda real: lambda N: real(N) / 2),
+        lambda: class_number_yu(13),
         "analytic class number for N=13 is not a positive integer: 19/2",
     ),
     "inexact division in the q-expansion recurrence": (
-        qexpansion, "mul", lambda real: lambda x, y: real(x, y) + 1, 13,
-        lambda N: qexpansion.expand_product(UnitProduct(N, {1: 1, 2: -1})),
+        ("qexpansion", "inexact division"),
+        (qexpansion, "mul", lambda real: lambda x, y: real(x, y) + 1),
+        lambda: qexpansion.expand_product(UnitProduct(13, {1: 1, 2: -1})),
         r"inexact division by 2 expanding UnitProduct\(13, \{1: 1, 2: -1\}\)",
     ),
     "basis element count": (
-        basis_module, "euler_phi", lambda real: lambda n: real(n) + 2, 15, basis,
+        ("basis", "basis elements, expected"),
+        (basis_module, "euler_phi", lambda real: lambda n: real(n) + 2),
+        lambda: basis(15),
         "N=15: 3 basis elements, expected 4",
+    ),
+    "cusp count": (
+        ("siegel", "cusps, expected"),
+        (siegel, "cusp_list", lambda real: lambda N: real(N)[:-1]),
+        lambda: LevelContext.of(13),
+        r"N=13: 5 cusps, expected phi\(N\)/2",
+    ),
+    "genus": (
+        # 1 more at every n cancels (-120/24); at n = 13 alone it does not
+        ("siegel", "is not an integer"),
+        (siegel, "euler_phi", lambda real: lambda n: real(n) + (n == 13)),
+        lambda: siegel.genus_x1(13),
+        r"genus of X_1\(13\) is not an integer: 36/24",
+    ),
+    "even character count": (
+        ("bernoulli", "even characters, expected"),
+        (bernoulli, "_even_exponents", lambda real: lambda N: real(N)[:-1]),
+        lambda: bernoulli.enumerate_even_characters(13),
+        "N=13: 5 even characters, expected 6",
+    ),
+    "character orbit count": (
+        ("bernoulli", "character orbits cover"),
+        (bernoulli, "_even_character_orbits", lambda real: lambda N: real(N)[:-1]),
+        lambda: class_number_yu(13),
+        "N=13: character orbits cover 4 characters, expected 5",
+    ),
+    "orbit norm 0": (
+        ("bernoulli", "character orbit has norm 0"),
+        None,
+        lambda: bernoulli._orbit_norm([1, 1, 1], 3),  # C = Phi_3
+        "order-3 character orbit has norm 0: C = 0 mod Phi_3",
+    ),
+    "cyclotomic polynomial irreducible": (
+        # x^2 - 1 in place of Phi_2 shares the factor x + 1 with C = 1 + x
+        ("bernoulli", "is irreducible"),
+        (bernoulli, "cyclotomic", lambda real: lambda d: (-1, 0, 1)),
+        lambda: bernoulli._orbit_norm([1, 1], 2),
+        "Phi_2 shares a factor with C, but Phi_2 is irreducible",
+    ),
+    "modularity": (
+        ("classgroup", "fails the modularity congruences"),
+        None,
+        lambda: _rows_of(13, {1: 1}),
+        "E1 fails the modularity congruences at N=13",
+    ),
+    "orbit condition": (
+        ("classgroup", "violates the orbit condition"),
+        None,
+        lambda: _rows_of(21, {1: 252}),
+        r"E1\^252 violates the orbit condition at N=21",
+    ),
+    "integral divisor": (
+        # the order of E1 at cusp 1/13 is 97/156
+        ("classgroup", "non-integral divisor"),
+        (classgroup, "is_gamma1_modular", lambda real: lambda unit: True),
+        lambda: _rows_of(13, {1: 1}),
+        "E1 has a non-integral divisor at N=13",
+    ),
+    "divisor degree": (
+        ("classgroup", "divisor of nonzero degree"),
+        None,
+        lambda: _rows_of(13, {1: 156}),
+        r"E1\^156 has divisor of nonzero degree at N=13",
+    ),
+    "lattice index != h": (
+        ("classgroup", "lattice index"),
+        (classgroup, "det_solve", lambda real: lambda *args: (0, None, None, None, None)),
+        lambda: analyze(13),
+        "N=13: lattice index 0 != analytic class number 19$",
+    ),
+    "local Smith exponent sum": (
+        # 2 divides gcd(h, y) at N = 72
+        ("zlinalg", "local Smith exponents"),
+        (classgroup, "det_solve", _spoiling(2, lambda block: [[2 * x for x in block[0]], *block[1:]])),
+        lambda: analyze(72),
+        r"local Smith exponents mod 2 sum to 15, not v_r\(det\) = 14",
+    ),
+    "class coordinate on a relation": (
+        ("classgroup", "is nonzero on a relation"),
+        (classgroup, "det_solve", _spoiling(3, lambda rows: [[rows[0][0], rows[0][1] + 1, *rows[0][2:]], *rows[1:]])),
+        lambda: analyze(72).generators,
+        "N=72: a class coordinate mod 12 is nonzero on a relation",
+    ),
+    "generator coordinates": (
+        ("classgroup", "does not have coordinates"),
+        (classgroup, "smith_transforms_local", _spoiling(2, lambda G: [[2 * x for x in G[0]], *G[1:]])),
+        lambda: analyze(72)._quotient,
+        "N=72: generator 0 does not have coordinates e_0",
     ),
 }
 
 
-@pytest.mark.parametrize("check", list(CONSISTENCY_CHECKS))
-def test_a_consistency_check_fires_and_names_the_level(monkeypatch, check):
-    module, name, corrupt, N, call, message = CONSISTENCY_CHECKS[check]
-    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+def _clear_caches():
     classgroup._analyze.cache_clear()
     class_number_yu.cache_clear()
+    siegel._level_context.cache_clear()
+
+
+@pytest.mark.parametrize("check", list(CONSISTENCY_CHECKS))
+def test_a_consistency_check_fires_and_names_the_level(monkeypatch, check):
+    _, patch, call, message = CONSISTENCY_CHECKS[check]
+    if patch:
+        module, name, corrupt = patch
+        monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    _clear_caches()
     try:
         with pytest.raises(ConsistencyError, match=f"^{message}"):
-            call(N)
+            call()
     finally:
-        classgroup._analyze.cache_clear()
-        class_number_yu.cache_clear()
+        _clear_caches()
+
+
+def _consistency_raises():
+    """(module, line, literal parts of the message) of every raise of
+    `ConsistencyError` in the package."""
+    for path in sorted(Path(classgroup.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            # `raise ConsistencyError(...)`, `raise errors.ConsistencyError(...)`
+            # or the bare class, which has no message to match a row
+            exc, args = (node.exc.func, node.exc.args) if isinstance(node.exc, ast.Call) else (node.exc, [])
+            if ast.unparse(exc).split(".")[-1] == "ConsistencyError":
+                parts = [c.value for a in args for c in ast.walk(a) if isinstance(c, ast.Constant)]
+                yield path.stem, node.lineno, [part for part in parts if isinstance(part, str)]
+
+
+def test_every_consistency_check_has_a_row():
+    # a new check arrives with the corruption that fires it
+    matched = []
+    for module, line, parts in _consistency_raises():
+        keys = [
+            key
+            for key, ((site, fragment), *_) in CONSISTENCY_CHECKS.items()
+            if site == module and any(fragment in part for part in parts)
+        ]
+        assert len(keys) == 1, f"{module}.py:{line} has rows {keys}"
+        matched += keys
+    assert sorted(matched) == sorted(CONSISTENCY_CHECKS)
 
 
 @settings(max_examples=100, deadline=None)

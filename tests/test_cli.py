@@ -577,6 +577,19 @@ def test_verify_exits_3_when_the_routes_disagree(capsys, monkeypatch):
     assert err.startswith("consistency failure:")
 
 
+def test_a_zero_lattice_determinant_exits_3(capsys, monkeypatch):
+    # linearly dependent basis divisors are a lattice index of 0, which the
+    # two-route check refuses like any other mismatch
+    monkeypatch.setattr(classgroup, "det_solve", lambda *args: (0, None, None, None, None))
+    classgroup._analyze.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "structure", "13", "--no-cache")
+    finally:
+        classgroup._analyze.cache_clear()
+    assert (code, out) == (3, "")
+    assert err == "consistency failure: N=13: lattice index 0 != analytic class number 19\n"
+
+
 def test_table_check_exits_3_on_an_altered_reference_row(capsys, monkeypatch):
     known = dict(cli.structures())
     known[13] = replace(known[13], class_number=20, invariants=(20,))
