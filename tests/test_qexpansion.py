@@ -234,6 +234,11 @@ def test_expand_product_matches_dense_reference(u, depth):
         (5, {1: 3, 2: -2}, 10),
         (10, {2: 3, 5: -1}, 22),
         (10, {2: 3, 5: -1}, 21),
+        # the gathered terms: b_k = 0 for 0 < k < 8 and no ring, so steps
+        # 1-7 gather nothing, step 8 the first term and step 16 the second;
+        # at depth 17 the last nonzero k = 16 is depth - 1
+        (47, {8: -3, 16: 2}, 20),
+        (47, {8: -3, 16: 2}, 17),
     ],
 )
 def test_expand_product_pinned_against_dense_reference(N, exps, depth):
@@ -288,6 +293,50 @@ def test_deepest_basis_series_at_61_pinned():
     elements = {el.display: el for el in basis(61)}
     depths = {k: 8 - _truncation_for_depth(el.unit, 0) for k, el in elements.items()}
     assert set(sorted(depths, key=depths.get)[-3:]) == set(pinned)
+    for display, (depth, digest) in pinned.items():
+        assert depths[display] == depth
+        s = expand_product(elements[display].unit, 8)
+        assert hashlib.sha256(repr(s.coeffs).encode()).hexdigest() == digest
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize(
+    "N, pinned",
+    [
+        (
+            73,
+            {
+                "E1*E25^841/(E5^842)": (
+                    4960,
+                    "0ec215031cfbc897f2156b5c29a5391383b64e71a6eace62624e11dbf9696f66",
+                ),
+                "E16*E35^841/(E7^842)": (
+                    5011,
+                    "c9967f269b060e6b3390b5945cd445d3b2f4f96532a503ea4f4d638293a545f1",
+                ),
+                "E28*E30^841/(E6^842)": (
+                    5129,
+                    "b74a8f3ea2313f96910cc0fd36f9baddc6632c261ccc1c997a0de96d7b3da3c5",
+                ),
+            },
+        ),
+        (
+            97,
+            {
+                "E21*E40^1521/(E8^1522)": (
+                    12306,
+                    "8a6075fab2829facd8f88585e767c0b504cfc6cd0b16d2a0606258039b21fd40",
+                ),
+            },
+        ),
+    ],
+)
+def test_deepest_basis_series_pinned(N, pinned):
+    # the deepest basis elements at N = 73 (three) and N = 97 (one, about
+    # 4 s), expanded to q^8 from their leads and pinned by SHA-256 as at 61
+    elements = {el.display: el for el in basis(N)}
+    depths = {k: 8 - _truncation_for_depth(el.unit, 0) for k, el in elements.items()}
+    assert set(sorted(depths, key=depths.get)[-len(pinned) :]) == set(pinned)
     for display, (depth, digest) in pinned.items():
         assert depths[display] == depth
         s = expand_product(elements[display].unit, 8)
