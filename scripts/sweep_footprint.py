@@ -10,7 +10,9 @@ with DIR on PYTHONPATH (default: this checkout's src/):
 - `table-json`: the same with `--json`;
 - `analyze-N` for N = 343, 512, 625, 729, 972 and 1024: `analyze(N)` alone,
   printing the class number and the structure, so that the digests of the
-  standard output show whether two trees agree.
+  standard output show whether two trees agree;
+- `qcheck-N` for N = 61, 73 and 97: `python3 -m modunits.cli qcheck N`, whose
+  standard output digests likewise show whether two trees agree.
 
 With several --src trees the runs alternate between them, R runs per tree.
 For each tree and sweep the output lists every run's peak RSS of the child
@@ -41,6 +43,7 @@ SWEEPS = {
         f"analyze-{N}": [sys.executable, "-c", f"from modunits import analyze\nr = analyze({N})\nprint(r.class_number, r.structure)"]
         for N in (343, 512, 625, 729, 972, 1024)
     },
+    **{f"qcheck-{N}": [sys.executable, "-m", "modunits.cli", "qcheck", str(N)] for N in (61, 73, 97)},
 }
 
 
