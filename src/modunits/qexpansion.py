@@ -41,15 +41,15 @@ steps.  With a ring step at r gathered terms, the ring is cheaper when
 2 r d (D - 1) <= D^2.  The factors were set at r = 2.5, and about 3
 more per step for the first ring, which opens the ring loop: 5 * d <= D
 and 2 (2.5 + 3) d <= D, that is 11 * d <= D.  Timed on the state of
-real expansions (coefficients of 22 to 1650 bits, CPython 3.11), a
-gathered term costs 80-190 ns and a ring step 120-330 ns, r = 1.4-1.8,
-and the first ring costs no more than the others, which would put every
-edge near 3 * d <= D.  Over the `certify` series of perfbench, the
-pairs 6/3, 8/4 and 16/8 time within 2-5 % of 11/5, none faster in every
-depth band, so the factors stay.  There is one loop over the steps;
-when no d has 11 * d <= D, the rings stay empty and the ring loop in
-each step does nothing.  The budget bounds the memory: the rings hold
-at most D integers, no more than the series.
+real expansions (coefficients of 22 to 1650 bits, CPython 3.11 on a
+2-vCPU Xeon), a gathered term costs 80-190 ns and a ring step 120-330
+ns, r = 1.4-1.8, and the first ring costs no more than the others,
+which would put every edge near 3 * d <= D.  Over the series of
+perfbench/expected.json, the pairs 6/3, 8/4 and 16/8 time within 2-5 %
+of 11/5, none faster in every depth band, so the factors stay.  There
+is one loop over the steps; when no d has 11 * d <= D, the rings stay
+empty and the ring loop in each step does nothing.  The budget bounds
+the memory: the rings hold at most D integers, no more than the series.
 """
 
 from dataclasses import dataclass
