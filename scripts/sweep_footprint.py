@@ -6,6 +6,10 @@ Run it from the repository root.  Each sweep runs in a fresh interpreter
 with DIR on PYTHONPATH (default: this checkout's src/):
 
 - `analyze`: `analyze(N)` for 5 <= N <= 300, one report cache for the sweep;
+- `analyze-generators`: `analyze(N)` for 5 <= N <= 61, then `generators(N)`
+  for each of those levels, as `perfbench`'s `certify` workload reads them: a
+  report cache that did not hold all 57 levels would analyse some again, and
+  the wall time would show it; it prints each level's generators;
 - `table`: `python3 -m modunits.cli table 5..300 --no-cache`;
 - `table-json`: the same with `--json`;
 - `analyze-N` for N = 343, 512, 625, 729, 972 and 1024: `analyze(N)` alone,
@@ -37,6 +41,11 @@ import reference  # noqa: E402
 
 SWEEPS = {
     "analyze": [sys.executable, "-c", "from modunits import analyze\nfor N in range(5, 301):\n    analyze(N)"],
+    "analyze-generators": [
+        sys.executable,
+        "-c",
+        "from modunits import analyze, generators\nfor N in range(5, 62):\n    analyze(N)\nfor N in range(5, 62):\n    print(N, generators(N))",
+    ],
     "table": [sys.executable, "-m", "modunits.cli", "table", "5..300", "--no-cache"],
     "table-json": [sys.executable, "-m", "modunits.cli", "table", "5..300", "--no-cache", "--json"],
     **{

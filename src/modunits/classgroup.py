@@ -73,10 +73,10 @@ class GroupStructure:
 class ClassGroupReport:
     """Everything computed for one level, with per-stage timings.
 
-    `_analyze` caches every report, so a report holds only what the later
-    queries read: the divisor rows, packed as one `array('q')` per basis
-    element, and the elimination state.  It does not hold the basis:
-    `basis` rebuilds it from (N, generator) on each read.
+    `_analyze` keeps up to `REPORTS_KEPT` reports, so a report holds only
+    what the later queries read: the divisor rows, packed as one
+    `array('q')` per basis element, and the elimination state.  It does not
+    hold the basis: `basis` rebuilds it from (N, generator) on each read.
     """
 
     N: int
@@ -192,7 +192,13 @@ def class_number_lattice(N: int, generator: int | None = None) -> int:
     return analyze(N, generator).h_lattice
 
 
-@lru_cache(maxsize=None)
+#: the levels whose reports `_analyze` keeps, and whose analytic class
+#: numbers `class_number_yu` keeps: the smallest power of two that holds a
+#: batch of 57 levels (5..61) analysed first and asked for generators after
+REPORTS_KEPT = 64
+
+
+@lru_cache(maxsize=REPORTS_KEPT)
 def class_number_yu(N: int) -> int:
     """Class number by the analytic formula, exactly: Yu's prefactor times
     the product of (1/4) * B_{2,chi} over the even non-principal characters,
@@ -209,7 +215,14 @@ def analyze(N: int, generator: int | None = None) -> ClassGroupReport:
     """Full pipeline for one level, cross-checking every route.
 
     Cached per (N, generator) however the generator is passed, so
-    `analyze(N)` and `analyze(N, None)` share one entry.
+    `analyze(N)` and `analyze(N, None)` share one entry.  The cache keeps
+    the `REPORTS_KEPT` = 64 reports used last, so a sweep holds at most 64
+    levels' reports, and a batch of up to 64 levels analysed first runs no
+    analysis again when `generators`, `class_coordinates` or `is_principal`
+    is asked of them after.  A level that has been evicted is analysed
+    again, to an equal report.  The other per-level caches are bounded too:
+    `class_number_yu` keeps 64 class numbers, `siegel.LevelContext.of` 16
+    level tables and `bernoulli.cyclotomic` 32 polynomials (see there).
     """
     return _analyze(N, generator)
 
@@ -232,7 +245,7 @@ def _solve_column(n: int) -> list[int]:
     return [rng.randrange(-(1 << 15), 1 << 15) for _ in range(n)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=REPORTS_KEPT)
 def _analyze(N: int, generator: int | None) -> ClassGroupReport:
     if N < 5:
         raise ValueError(f"analyze requires N >= 5, got {N}")

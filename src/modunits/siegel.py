@@ -79,6 +79,11 @@ class LevelContext:
     unsquared part of N (the product of the primes p || N), in ascending k:
     e_k is the CRT idempotent, 0 mod k and 1 mod N/k, so the index that is
     0 mod k and g mod N/k is g * e_k.
+
+    `LevelContext.of` keeps the 16 contexts used last.  One `analyze`
+    reads its own level and, at a composite level, the sublevels M of its
+    basis (the M | N with rad(N) | M, N among them): at most 15 levels for
+    N <= 1024 (at 864), so no analysis rebuilds a table it has built.
     """
 
     N: int
@@ -116,7 +121,7 @@ def _orbit_classes(N: int, p: int) -> tuple[int, ...]:
     return tuple(classes)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _level_context(N: int) -> LevelContext:
     if N < 3:
         raise ValueError(f"level must be >= 3, got {N}")

@@ -3,9 +3,11 @@ import dataclasses
 import hashlib
 import importlib
 import random
-import tracemalloc
+import sys
 from array import array
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, prod
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modunits import bernoulli, classgroup, qexpansion, siegel, zlinalg
+from modunits import bernoulli, classgroup, cli, qexpansion, siegel, zlinalg
 from modunits.basis import BasisElement, basis
 from modunits.bernoulli import bernoulli_matrix
 from modunits.classgroup import (
@@ -162,20 +164,88 @@ def test_report_rebuilds_its_basis_and_packs_its_rows():
         assert [list(row) for row in rows] == divisor_matrix(N), N
 
 
-def test_clearing_the_report_cache_frees_under_1_8_megabytes():
-    # the reports of the 5 <= N <= 100 sweep hold about 1.25 MB; with the
-    # basis and the rows as tuples of ints in each report they held 2.3 MB
+def _held_bytes(objects) -> int:
+    """sys.getsizeof summed over everything reachable from `objects`, each
+    object once; the small ints and strings, which the interpreter shares,
+    are not counted."""
+    seen, stack, total = set(), list(objects), 0
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or x is None or isinstance(x, (bool, str)) or (type(x) is int and -5 <= x <= 256):
+            continue
+        seen.add(id(x))
+        total += sys.getsizeof(x)
+        if isinstance(x, (tuple, list)):
+            stack += x
+        elif isinstance(x, dict):
+            stack += [*x, *x.values()]
+        elif not isinstance(x, (int, float, array)):
+            stack += [getattr(x, name) for name in getattr(x, "__slots__", ())]
+            stack += vars(x).values() if hasattr(x, "__dict__") else ()
+    return total
+
+
+def test_the_reports_of_a_sweep_hold_under_1_8_megabytes():
+    # the 96 reports of the 5 <= N <= 100 sweep hold about 1.2 MB; with the
+    # basis and the rows as tuples of ints in each report they held 2.2 MB
     classgroup._analyze.cache_clear()
-    tracemalloc.start()
-    try:
-        for N in range(5, 101):
-            analyze(N)
-        held = tracemalloc.get_traced_memory()[0]
-        classgroup._analyze.cache_clear()
-        freed = held - tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert freed < 1.8e6, freed
+    reports = [analyze(N) for N in range(5, 101)]
+    held = _held_bytes(reports)
+    assert held < 1.8e6, held
+
+
+def _count_analyses(monkeypatch) -> Counter:
+    """Put a fresh cache of `_analyze`'s bound around a spy on the function
+    it wraps; the spy counts the analyses of each level."""
+    counts = Counter()
+    analyze_level = classgroup._analyze.__wrapped__
+
+    def spy(N, generator):
+        counts[N] += 1
+        return analyze_level(N, generator)
+
+    bound = classgroup._analyze.cache_info().maxsize
+    monkeypatch.setattr(classgroup, "_analyze", lru_cache(maxsize=bound)(spy))
+    return counts
+
+
+def test_the_queries_at_one_level_analyse_it_once(monkeypatch):
+    counts = _count_analyses(monkeypatch)
+    N = 72
+    record = cli.build_record(N)
+    gens = generators(N)
+    div, d = gens[-1]
+    assert class_coordinates(N, div)[-1] == (1, d)
+    assert not is_principal(N, div) and is_principal(N, [d * x for x in div])
+    assert record["invariants"] == [str(e) for _, e in gens]
+    assert counts == {N: 1}
+
+
+def test_a_batch_of_57_levels_is_analysed_once_each(monkeypatch):
+    # the certify pattern: analyse 5..61 first, then ask for the generators
+    # of each level; the bound holds the batch, so nothing is analysed again
+    counts = _count_analyses(monkeypatch)
+    levels = range(5, 62)
+    for N in levels:
+        analyze(N, None)
+    for N in levels:
+        assert tuple(d for _, d in generators(N)) == structure(N).invariants
+    assert counts == dict.fromkeys(levels, 1)
+
+
+def test_the_report_cache_is_bounded_and_an_evicted_level_is_the_same_again(monkeypatch):
+    counts = _count_analyses(monkeypatch)
+    first = analyze(36)
+    gens = first.generators
+    assert len(gens) == 2
+    for N in range(5, 101):
+        analyze(N)
+    info = classgroup._analyze.cache_info()
+    assert info.currsize == info.maxsize == classgroup.REPORTS_KEPT == 64
+    assert counts[36] == 1
+    again = analyze(36)  # the 64 levels 37..100 evicted it: analysed anew
+    assert counts[36] == 2 and again is not first
+    assert again == first and again.generators == gens
 
 
 def test_analyze_splits_unfactored_cofactor(monkeypatch):
